@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .predictions import PredictionSet
-from .riskmin import LIKELIHOOD, RISK, RankedOutput, batch_apply
+from .riskmin import LIKELIHOOD, RISK, Ranking, batch_apply
 from .taxonomy import Taxonomy, collapse_to_depth
 
 __all__ = [
@@ -77,14 +77,14 @@ class CalibrationReport:
     confidence_source: str
 
 
-def bin_confidences(preds: PredictionSet, ranked: list[RankedOutput],
+def bin_confidences(preds: PredictionSet, ranked: Ranking,
                     B: int, source: str = "max-likelihood") -> CalibrationBins:
     """Histogram per-sample confidences into B equal-width bins.
 
     A sample's confidence is the probability its row assigns to the
     first-ranked class; correctness is that class matching the truth.
     ``source`` names where the ranking came from and must agree with the
-    basis flag on every ranked output.
+    ranking's basis.
     """
     B = int(B)
     if B < 1:
@@ -94,14 +94,12 @@ def bin_confidences(preds: PredictionSet, ranked: list[RankedOutput],
         raise ValueError(f"unknown confidence source {source!r}")
     if len(ranked) != preds.N:
         raise ValueError("ranked outputs and predictions differ in length")
-    for r in ranked:
-        if r.basis != basis:
-            raise ValueError(
-                f"ranking basis {r.basis!r} does not match source {source!r}"
-            )
+    if ranked.basis != basis:
+        raise ValueError(
+            f"ranking basis {ranked.basis!r} does not match source {source!r}"
+        )
     if preds.N:
-        top = np.fromiter((r.permutation[0] for r in ranked),
-                          np.int64, preds.N)
+        top = ranked.permutation[:, 0]
         conf = preds.probs[np.arange(preds.N), top]
         correct = (top == preds.truth).astype(np.float64)
         idx = np.ceil(conf * B).astype(np.int64) - 1

@@ -6,8 +6,9 @@ only, and over all samples), severity histograms, and the arithmetic
 check showing why the mistakes-only normalization can reward adding
 low-severity mistakes.
 
-Sample means use numpy's pairwise summation, which has a fixed
-reduction tree for a given length, so repeated runs are bit-stable.
+LCA heights are integers, so every sample mean is an exact int64 total
+divided once: each reported mean is the correctly rounded quotient, and
+it does not depend on the order of the rows or on how they are batched.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .predictions import PredictionSet
-from .riskmin import RankedOutput, batch_apply, build_cost_matrix
+from .riskmin import Ranking, batch_apply, build_cost_matrix
 from .taxonomy import Taxonomy, node_height
 
 __all__ = [
@@ -54,84 +55,80 @@ class MetricsReport:
     histogram: dict[int, int]
 
 
-def _stack_perms(ranked: list[RankedOutput], k: int | None = None) -> np.ndarray:
-    width = None if k is None else k
-    return np.stack([
-        r.permutation if width is None else r.permutation[:width]
-        for r in ranked
-    ])
+def _sorted_ks(k_list, K: int) -> list[int]:
+    ks = sorted({int(k) for k in k_list})
+    if not ks:
+        raise ValueError("k_list must not be empty")
+    if ks[0] < 1 or ks[-1] > K:
+        raise ValueError(f"k_list entries must lie in [1, {K}]")
+    return ks
 
 
-def _as_truth(ranked, truth) -> np.ndarray:
+def _as_truth(ranked: Ranking, truth) -> np.ndarray:
     t = np.asarray(truth, dtype=np.int64)
     if t.ndim != 1 or len(ranked) != t.shape[0]:
         raise ValueError("ranked outputs and truth labels differ in length")
     return t
 
 
-def top1_error(ranked: list[RankedOutput], truth) -> float:
+def _reduce(ranked: Ranking, truth, tax: Taxonomy, k_list) -> MetricsReport:
+    ks = _sorted_ks(k_list, tax.K)
+    t = _as_truth(ranked, truth)
+    N = t.shape[0]
+    height = node_height(tax, tax.root)
+    D = tax.lca_matrix()[t[:, None], ranked.permutation[:, :ks[-1]]]
+    totals = np.cumsum(D.sum(axis=0, dtype=np.int64)).tolist()
+    sev = D[:, 0]
+    mistakes = sev > 0
+    n_mist = int(mistakes.sum())
+    counts = np.bincount(sev[mistakes], minlength=height + 1)
+    return MetricsReport(
+        top1_error=n_mist / N if N else 0.0,
+        distance_at_k={k: totals[k - 1] / (k * N) if N else 0.0 for k in ks},
+        severity_over_mistakes=totals[0] / n_mist if n_mist else None,
+        severity_over_all=totals[0] / N if N else 0.0,
+        n_mistakes=n_mist,
+        histogram={h: int(counts[h]) for h in range(1, height + 1)},
+    )
+
+
+def top1_error(ranked: Ranking, truth) -> float:
     """Fraction of samples whose first-ranked class is not the truth."""
     t = _as_truth(ranked, truth)
     if t.size == 0:
         return 0.0
-    top = np.fromiter((r.permutation[0] for r in ranked), np.int64, t.size)
-    return float(np.mean(top != t))
+    return int((ranked.permutation[:, 0] != t).sum()) / t.size
 
 
-def distance_at_k(ranked: list[RankedOutput], truth, tax: Taxonomy,
-                  k: int) -> float:
+def distance_at_k(ranked: Ranking, truth, tax: Taxonomy, k: int) -> float:
     """Mean LCA height between the truth and the first k ranked classes.
 
     The truth class contributes height 0 whenever it appears within the
     top k, so a perfect top-1 predictor scores 0 at k=1.
     """
-    k = int(k)
-    if not 1 <= k <= tax.K:
-        raise ValueError(f"k={k} out of range [1, {tax.K}]")
-    t = _as_truth(ranked, truth)
-    if t.size == 0:
-        return 0.0
-    perms = _stack_perms(ranked, k)
-    D = tax.lca_matrix()[t[:, None], perms]
-    return float(np.mean(D.mean(axis=1)))
+    return _reduce(ranked, truth, tax, (k,)).distance_at_k[int(k)]
 
 
-def _top1_severities(ranked, truth, tax):
-    t = _as_truth(ranked, truth)
-    if t.size == 0:
-        return t, np.zeros(0, dtype=np.int64)
-    top = np.fromiter((r.permutation[0] for r in ranked), np.int64, t.size)
-    return t, tax.lca_matrix()[t, top]
-
-
-def severity_over_mistakes(ranked, truth, tax: Taxonomy) -> tuple[float, int]:
+def severity_over_mistakes(ranked: Ranking, truth,
+                           tax: Taxonomy) -> tuple[float, int]:
     """Mean top-1 LCA height over misclassified samples only.
 
     Returns (mean, n_mistakes). With no mistakes the mean is undefined;
     (0.0, 0) is returned and the zero count is the emptiness flag.
     """
-    t, sev = _top1_severities(ranked, truth, tax)
-    mask = sev > 0
-    n = int(mask.sum())
-    if n == 0:
-        return 0.0, 0
-    return float(sev[mask].mean()), n
+    r = _reduce(ranked, truth, tax, (1,))
+    return r.severity_over_mistakes or 0.0, r.n_mistakes
 
 
-def severity_over_all(ranked, truth, tax: Taxonomy) -> float:
+def severity_over_all(ranked: Ranking, truth, tax: Taxonomy) -> float:
     """Mean top-1 LCA height over all samples (correct ones count 0)."""
-    t, sev = _top1_severities(ranked, truth, tax)
-    if t.size == 0:
-        return 0.0
-    return float(sev.mean())
+    return _reduce(ranked, truth, tax, (1,)).severity_over_all
 
 
-def severity_histogram(ranked, truth, tax: Taxonomy) -> dict[int, int]:
+def severity_histogram(ranked: Ranking, truth,
+                       tax: Taxonomy) -> dict[int, int]:
     """Mistake counts bucketed by exact integer severity 1..tree height."""
-    height = node_height(tax, tax.root)
-    t, sev = _top1_severities(ranked, truth, tax)
-    counts = np.bincount(sev[sev > 0], minlength=height + 1)
-    return {h: int(counts[h]) for h in range(1, height + 1)}
+    return _reduce(ranked, truth, tax, (1,)).histogram
 
 
 def metric_flaw_check(d_h, m, d_l, n) -> bool:
@@ -141,52 +138,16 @@ def metric_flaw_check(d_h, m, d_l, n) -> bool:
 
     The comparison (d_h + d_l) / (m + n) <= d_h / m is evaluated in the
     cross-multiplied form d_l * m <= d_h * n, which is algebraically
-    identical for positive inputs and exact for integers. The guard
-    below re-checks the same two products, so it cannot fire; it
-    documents that "not harder on average" is also necessary.
+    identical for positive inputs and exact for integers.
     """
     if not (d_h > 0 and m > 0 and d_l > 0 and n > 0):
         raise ValueError("all four quantities must be positive")
-    result = d_l * m <= d_h * n
-    if d_h * n >= d_l * m and not result:
-        raise AssertionError("mean severity rose despite easier additions")
-    return bool(result)
+    return bool(d_l * m <= d_h * n)
 
 
 def full_report(preds: PredictionSet, tax: Taxonomy, basis: str,
                 k_list=DEFAULT_K_LIST, threads: int = 1) -> MetricsReport:
-    """All metrics in one traversal of the ranked batch."""
-    ks = sorted({int(k) for k in k_list})
-    if not ks:
-        raise ValueError("k_list must not be empty")
-    if ks[0] < 1 or ks[-1] > tax.K:
-        raise ValueError(f"k_list entries must lie in [1, {tax.K}]")
-    C = build_cost_matrix(tax)
-    ranked = batch_apply(preds, C, basis, threads=threads)
-    height = node_height(tax, tax.root)
-    if preds.N == 0:
-        return MetricsReport(
-            top1_error=0.0,
-            distance_at_k={k: 0.0 for k in ks},
-            severity_over_mistakes=None,
-            severity_over_all=0.0,
-            n_mistakes=0,
-            histogram={h: 0 for h in range(1, height + 1)},
-        )
-    perms = _stack_perms(ranked)
-    D = tax.lca_matrix()[preds.truth[:, None], perms]
-    prefix = np.cumsum(D, axis=1)
-    dist = {k: float(np.mean(prefix[:, k - 1] / k)) for k in ks}
-    sev = D[:, 0]
-    mask = sev > 0
-    n_mist = int(mask.sum())
-    som = float(sev[mask].mean()) if n_mist else None
-    counts = np.bincount(sev[mask], minlength=height + 1)
-    return MetricsReport(
-        top1_error=float(np.mean(perms[:, 0] != preds.truth)),
-        distance_at_k=dist,
-        severity_over_mistakes=som,
-        severity_over_all=float(sev.mean()),
-        n_mistakes=n_mist,
-        histogram={h: int(counts[h]) for h in range(1, height + 1)},
-    )
+    """All metrics from one ranking of the batch and one reduction."""
+    ks = _sorted_ks(k_list, tax.K)
+    ranked = batch_apply(preds, build_cost_matrix(tax), basis, threads=threads)
+    return _reduce(ranked, preds.truth, tax, ks)

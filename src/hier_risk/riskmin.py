@@ -24,6 +24,7 @@ from .taxonomy import Taxonomy
 __all__ = [
     "CostMatrix",
     "RankedOutput",
+    "Ranking",
     "build_cost_matrix",
     "conditional_risk",
     "crm_predict",
@@ -82,6 +83,11 @@ class CostMatrix:
         return f"CostMatrix(K={self.K})"
 
 
+def _check_basis(basis: str) -> None:
+    if basis not in (LIKELIHOOD, RISK):
+        raise ValueError(f"unknown ranking basis {basis!r}")
+
+
 @dataclass
 class RankedOutput:
     """Full class ordering for one sample, best first.
@@ -97,8 +103,32 @@ class RankedOutput:
     basis: str = field(default=LIKELIHOOD)
 
     def __post_init__(self):
-        if self.basis not in (LIKELIHOOD, RISK):
-            raise ValueError(f"unknown ranking basis {self.basis!r}")
+        _check_basis(self.basis)
+
+
+@dataclass(frozen=True, eq=False)
+class Ranking:
+    """Class orderings for a batch of samples, one row per sample.
+
+    ``permutation`` is (N, K) int64, best class first in each row;
+    ``scores`` is the (N, K) float64 matrix that induced it, indexed by
+    class, not by rank. One basis covers every row. ``len()``, indexing
+    and iteration give per-row ``RankedOutput`` views; treat all arrays
+    as read-only.
+    """
+
+    permutation: np.ndarray
+    scores: np.ndarray
+    basis: str = LIKELIHOOD
+
+    def __post_init__(self):
+        _check_basis(self.basis)
+
+    def __len__(self) -> int:
+        return self.permutation.shape[0]
+
+    def __getitem__(self, i: int) -> RankedOutput:
+        return RankedOutput(self.permutation[i], self.scores[i], self.basis)
 
 
 def build_cost_matrix(tax: Taxonomy) -> CostMatrix:
@@ -202,38 +232,38 @@ def _normalize_basis(basis: str) -> str:
     raise ValueError(f"unknown ranking basis {basis!r}")
 
 
-def _check_names(preds: PredictionSet, C: CostMatrix) -> None:
+def _check_costs(preds: PredictionSet, C: CostMatrix) -> None:
     if C.class_names is not None and preds.class_names != C.class_names:
         raise ValueError(
             "class order mismatch between predictions and cost matrix"
         )
+    if preds.K != C.K:
+        raise ValueError("prediction width does not match cost matrix")
 
 
 def batch_apply(preds: PredictionSet, C: CostMatrix | None, basis: str,
-                threads: int = 1) -> list[RankedOutput]:
+                threads: int = 1) -> Ranking:
     """Rank every sample under the chosen basis.
 
     Row i of the result is bit-identical to the single-sample call on
     row i. ``C`` may be None for the likelihood basis only. Batches are
     ranked with one vectorized argsort; the risk basis first runs the
     shared ascending-j kernel, chunked over rows when ``threads`` > 1.
+    The metrics computed from the result are exact integer sums with
+    one final division, so they do not depend on the order of the rows.
     """
     b = _normalize_basis(basis)
+    if C is not None:
+        _check_costs(preds, C)
     if b == RISK:
         if C is None:
             raise ValueError("risk basis requires a cost matrix")
-        _check_names(preds, C)
-        if preds.K != C.K:
-            raise ValueError("prediction width does not match cost matrix")
         scores = _risk_matrix(preds.probs, C._float_entries, threads)
         order = np.argsort(scores, axis=1, kind="stable")
     else:
-        if C is not None:
-            _check_names(preds, C)
         scores = preds.probs
         order = np.argsort(-scores, axis=1, kind="stable")
-    order = order.astype(np.int64, copy=False)
-    return [RankedOutput(order[i], scores[i], b) for i in range(preds.N)]
+    return Ranking(order.astype(np.int64, copy=False), scores, b)
 
 
 def batch_crm_top1(preds: PredictionSet, C: CostMatrix,
@@ -243,9 +273,7 @@ def batch_crm_top1(preds: PredictionSet, C: CostMatrix,
     The shortcut takes the argmax wherever a row's maximum exceeds 0.5
     and the full risk argmin elsewhere; output is identical either way.
     """
-    _check_names(preds, C)
-    if preds.K != C.K:
-        raise ValueError("prediction width does not match cost matrix")
+    _check_costs(preds, C)
     P = preds.probs
     if not use_fastpath:
         return np.argmin(_risk_matrix(P, C._float_entries, threads), axis=1)

@@ -20,7 +20,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from hier_risk import (PredictionSet, RankedOutput, SynthConfig,
+from hier_risk import (PredictionSet, Ranking, SynthConfig,
                        apply_temperature, batch_apply, batch_crm_top1,
                        bin_confidences, build_cost_matrix,
                        conditional_risk, crm_predict, crm_rerank, ece,
@@ -186,10 +186,10 @@ def test_04_risk_ranking_beats_likelihood_on_distance_at_five():
     assert time.monotonic() - started < 60.0
 
 
-def _ranked(perm):
-    q = np.full(len(perm), 1.0 / len(perm))
-    return RankedOutput(np.asarray(perm, dtype=np.int64), q,
-                        "likelihood-descending")
+def _ranked(perms):
+    perms = np.asarray(perms, dtype=np.int64)
+    q = np.full(perms.shape, 1.0 / perms.shape[1])
+    return Ranking(perms, q, "likelihood-descending")
 
 
 def test_05_mistake_mean_rewards_adding_mild_mistakes():
@@ -202,9 +202,8 @@ def test_05_mistake_mean_rewards_adding_mild_mistakes():
     cross = [2, 3, 0, 1]
     sibling = [1, 0, 2, 3]
     truth = np.zeros(20, dtype=np.int64)
-    model_a = [_ranked(correct)] * 15 + [_ranked(cross)] * 5
-    model_b = ([_ranked(correct)] * 10 + [_ranked(cross)] * 5
-               + [_ranked(sibling)] * 5)
+    model_a = _ranked([correct] * 15 + [cross] * 5)
+    model_b = _ranked([correct] * 10 + [cross] * 5 + [sibling] * 5)
     som_a, m_a = severity_over_mistakes(model_a, truth, TWO_BRANCH)
     som_b, m_b = severity_over_mistakes(model_b, truth, TWO_BRANCH)
     assert (som_a, m_a) == (2.0, 5)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hier_risk import (PredictionSet, SynthConfig, apply_temperature,
+from hier_risk import (PredictionSet, Ranking, SynthConfig, apply_temperature,
                        batch_apply, bin_confidences, build_cost_matrix,
                        ece, fit_temperature, gen_predictions, gen_taxonomy,
                        hierarchical_ece, likelihood_rank, mce,
@@ -59,7 +59,8 @@ def test_bins_are_right_closed():
 
 def test_empty_bins_report_zero():
     empty = make_preds(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
-    bins = bin_confidences(empty, [], 5)
+    nothing = Ranking(np.zeros((0, 2), dtype=np.int64), np.zeros((0, 2)))
+    bins = bin_confidences(empty, nothing, 5)
     assert bins.counts.tolist() == [0] * 5
     assert ece(bins) == 0.0
     assert mce(bins) == 0.0

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hier_risk import (SynthConfig, build_cost_matrix, batch_apply,
+from hier_risk import (PredictionSet, Ranking, SynthConfig,
+                       build_cost_matrix, batch_apply,
                        distance_at_k, full_report, gen_predictions,
                        gen_taxonomy, metric_flaw_check, node_height,
                        parse_taxonomy, severity_histogram,
@@ -22,7 +23,8 @@ def synth(seed=1, K=8, N=300, tree_mode="random-attachment", **kw):
 
 
 def test_empty_batch_yields_zero_metrics():
-    assert top1_error([], np.zeros(0, dtype=np.int64)) == 0.0
+    nothing = Ranking(np.zeros((0, 2), dtype=np.int64), np.zeros((0, 2)))
+    assert top1_error(nothing, np.zeros(0, dtype=np.int64)) == 0.0
     tax, preds = synth(N=0)
     report = full_report(preds, tax, "crm", k_list=(1, 2))
     assert report.top1_error == 0.0
@@ -115,6 +117,29 @@ def test_full_report_matches_component_metrics():
             ranked, preds.truth, tax)
 
 
+def test_distance_at_k_is_the_exact_integer_quotient():
+    tax, preds = synth(seed=0, K=10, N=500)
+    for basis in ("crm", "likelihood"):
+        ranked = batch_apply(preds, build_cost_matrix(tax), basis)
+        D = tax.lca_matrix()[preds.truth[:, None], ranked.permutation]
+        report = full_report(preds, tax, basis, k_list=(1, 3, 7))
+        for k in (1, 3, 7):
+            exact = Fraction(int(D[:, :k].sum()), k * preds.N)
+            assert report.distance_at_k[k] == float(exact)
+
+
+def test_full_report_is_invariant_to_row_order():
+    tax, preds = synth(seed=0, K=10, N=500)
+    rows = np.random.Generator(np.random.PCG64(0)).permutation(preds.N)
+    # Both sets go through the same row-local validation.
+    same = PredictionSet(preds.probs, preds.truth, preds.class_names)
+    shuffled = PredictionSet(preds.probs[rows], preds.truth[rows],
+                             preds.class_names)
+    for basis in ("crm", "likelihood"):
+        assert (full_report(shuffled, tax, basis, k_list=(1, 3, 7))
+                == full_report(same, tax, basis, k_list=(1, 3, 7)))
+
+
 def test_full_report_dedupes_and_sorts_k_list():
     tax, preds = synth(seed=8, K=6, N=40)
     report = full_report(preds, tax, "crm", k_list=(3, 1, 3))
@@ -126,7 +151,6 @@ def test_histogram_includes_zero_count_severities():
     # always 1, yet the histogram still carries the height-2 slot.
     probs = np.tile(np.array([0.1, 0.7, 0.1, 0.1]), (5, 1))
     truth = np.zeros(5, dtype=np.int64)
-    from hier_risk import PredictionSet
     preds = PredictionSet(probs, truth, ["a", "b", "c", "d"])
     ranked = batch_apply(preds, None, "likelihood")
     assert severity_histogram(ranked, truth, TWO_BRANCH) == {1: 5, 2: 0}

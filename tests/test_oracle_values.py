@@ -8,7 +8,7 @@ gets a 1e-12 tolerance.
 
 import numpy as np
 
-from hier_risk import (PredictionSet, RankedOutput, apply_temperature,
+from hier_risk import (PredictionSet, Ranking, apply_temperature,
                        batch_apply, bin_confidences, build_cost_matrix,
                        collapse_to_depth, conditional_risk, crm_predict,
                        crm_rerank, distance_at_k, ece, likelihood_rank,
@@ -115,24 +115,24 @@ def test_flaw_check_frozen_instances():
     assert metric_flaw_check(4, 2, 4, 2) is True
 
 
-def _ranked(perm):
-    q = np.full(len(perm), 1.0 / len(perm))
-    return RankedOutput(np.asarray(perm, dtype=np.int64), q,
-                        "likelihood-descending")
+def _ranked(perms):
+    perms = np.asarray(perms, dtype=np.int64)
+    q = np.full(perms.shape, 1.0 / perms.shape[1])
+    return Ranking(perms, q, "likelihood-descending")
 
 
 def test_severity_means_and_histogram():
     # Six samples, truth class a: three correct, mistakes of severity
     # 2, 2, 1. Mistake mean 5/3, overall mean 5/6, histogram {1:1, 2:2}.
     tax = two_branch()
-    ranked = [
-        _ranked([0, 1, 2, 3]),
-        _ranked([0, 2, 3, 1]),
-        _ranked([0, 3, 1, 2]),
-        _ranked([2, 0, 1, 3]),
-        _ranked([3, 0, 1, 2]),
-        _ranked([1, 0, 2, 3]),
-    ]
+    ranked = _ranked([
+        [0, 1, 2, 3],
+        [0, 2, 3, 1],
+        [0, 3, 1, 2],
+        [2, 0, 1, 3],
+        [3, 0, 1, 2],
+        [1, 0, 2, 3],
+    ])
     truth = np.zeros(6, dtype=np.int64)
     mean, count = severity_over_mistakes(ranked, truth, tax)
     assert count == 3
@@ -144,10 +144,10 @@ def test_severity_means_and_histogram():
 def test_distance_at_k_frozen_prefixes():
     tax = two_branch()
     truth = np.zeros(1, dtype=np.int64)
-    risk_order = [_ranked([2, 3, 0, 1])]
+    risk_order = _ranked([[2, 3, 0, 1]])
     assert distance_at_k(risk_order, truth, tax, 1) == 2.0
     assert distance_at_k(risk_order, truth, tax, 2) == 2.0
-    lik_order = [_ranked([0, 2, 3, 1])]
+    lik_order = _ranked([[0, 2, 3, 1]])
     assert distance_at_k(lik_order, truth, tax, 1) == 0.0
     assert distance_at_k(lik_order, truth, tax, 2) == 1.0
 

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hier_risk import (CostMatrix, PredictionSet, RankedOutput, SynthConfig,
-                       batch_apply, batch_crm_top1, build_cost_matrix,
-                       conditional_risk, crm_predict, crm_rerank,
-                       gen_predictions, gen_taxonomy, likelihood_rank,
-                       parse_taxonomy)
+from hier_risk import (CostMatrix, PredictionSet, RankedOutput, Ranking,
+                       SynthConfig, batch_apply, batch_crm_top1,
+                       build_cost_matrix, conditional_risk, crm_predict,
+                       crm_rerank, gen_predictions, gen_taxonomy,
+                       likelihood_rank, parse_taxonomy)
 from hier_risk.riskmin import LIKELIHOOD, RISK
 
 TWO_BRANCH = parse_taxonomy(
@@ -122,8 +122,28 @@ def test_flat_costs_reduce_to_likelihood_order():
 
 
 def test_ranked_output_rejects_unknown_basis():
-    with pytest.raises(ValueError, match="basis"):
-        RankedOutput(np.array([0, 1]), np.array([0.6, 0.4]), "alphabetical")
+    for cls, perm, scores in ((RankedOutput, [0, 1], [0.6, 0.4]),
+                              (Ranking, [[0, 1]], [[0.6, 0.4]])):
+        with pytest.raises(ValueError, match="basis"):
+            cls(np.array(perm), np.array(scores), "alphabetical")
+
+
+def test_ranking_rows_are_ranked_output_views():
+    # Callers that walk a batch row by row (truth tests, len, indexing,
+    # iteration) see one RankedOutput per sample.
+    tax, preds = synth_batch(13, 5, 7)
+    ranking = batch_apply(preds, build_cost_matrix(tax), "crm")
+    assert ranking.permutation.shape == ranking.scores.shape == (7, 5)
+    assert ranking.permutation.dtype == np.int64
+    assert len(ranking) == 7 and ranking
+    rows = list(ranking)
+    assert len(rows) == 7
+    for i, row in enumerate(rows):
+        for view in (row, ranking[i]):
+            assert isinstance(view, RankedOutput)
+            assert view.basis == ranking.basis == RISK
+            assert np.array_equal(view.permutation, ranking.permutation[i])
+            assert np.array_equal(view.scores, ranking.scores[i])
 
 
 @settings(max_examples=80, deadline=None)
