@@ -36,7 +36,7 @@ def main():
     print(header)
     for tree_name, tree in (("original", tax), ("shuffled", shuffled)):
         for basis in ("likelihood", "crm"):
-            r = full_report(preds, tree, basis, (1, 5), threads=4)
+            r = full_report(preds, tree, basis, (1, 5))
             sev = r.severity_over_mistakes
             print(f"{tree_name:<10} {basis:<12} {r.top1_error:>9.4f}"
                   f" {sev:>9.3f} {r.distance_at_k[5]:>8.4f}")

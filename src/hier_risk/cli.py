@@ -4,13 +4,13 @@ Subcommands: build-costs, eval, calibrate, shuffle-eval, simulate.
 Exit codes: 0 success, 1 internal failure, 2 input or validation error
 (argparse usage errors included). The requested artifact goes to stdout
 unless --out is given; diagnostics go to stderr. Every subcommand is
-deterministic given identical files and flags, including --threads.
+deterministic given identical files and flags. The risk kernel runs on
+one thread; --threads is accepted and ignored.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -49,10 +49,6 @@ def _positive_int(text: str) -> int:
     return v
 
 
-def _default_threads() -> int:
-    return os.cpu_count() or 1
-
-
 def _indent_json(doc: str, pad: str) -> str:
     lines = doc.rstrip("\n").split("\n")
     return lines[0] + "\n" + "\n".join(pad + l for l in lines[1:])
@@ -66,16 +62,14 @@ def _cmd_build_costs(args) -> str:
 def _cmd_eval(args) -> str:
     tax = load_hierarchy(args.hierarchy)
     preds = load_predictions(args.predictions, tax)
-    report = full_report(preds, tax, args.basis, args.k, threads=args.threads)
+    report = full_report(preds, tax, args.basis, args.k)
     if args.theorem1_fastpath and args.basis == "crm":
         # The shortcut cannot speed up a full ranking (the re-rank always
         # runs), so here the flag re-derives the top-1 column through it
         # and insists on bit-identical results.
         C = build_cost_matrix(tax)
-        fast = batch_crm_top1(preds, C, use_fastpath=True,
-                              threads=args.threads)
-        full = batch_crm_top1(preds, C, use_fastpath=False,
-                              threads=args.threads)
+        fast = batch_crm_top1(preds, C, use_fastpath=True)
+        full = batch_crm_top1(preds, C, use_fastpath=False)
         if not np.array_equal(fast, full):
             raise RuntimeError("fast-path top-1 diverged from the full path")
     return metrics_report_to_json(report)
@@ -99,8 +93,8 @@ def _cmd_calibrate(args) -> str:
                          test.truth, test.class_names)
     if args.source == "crm-selected":
         C = build_cost_matrix(tax)
-        ranked_pre = batch_apply(test, C, "crm", threads=args.threads)
-        ranked_post = batch_apply(post, C, "crm", threads=args.threads)
+        ranked_pre = batch_apply(test, C, "crm")
+        ranked_post = batch_apply(post, C, "crm")
     else:
         ranked_pre = batch_apply(test, None, "likelihood")
         ranked_post = batch_apply(post, None, "likelihood")
@@ -126,7 +120,7 @@ def _cmd_shuffle_eval(args) -> str:
     }
     docs = {}
     for key, (t, basis) in pick.items():
-        report = full_report(preds, t, basis, args.k, threads=args.threads)
+        report = full_report(preds, t, basis, args.k)
         docs[key] = _indent_json(metrics_report_to_json(report), "    ")
     return (
         "{\n"
@@ -169,9 +163,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                          "of stdout")
         if threads:
             p.add_argument("--threads", type=_positive_int,
-                           default=_default_threads(),
-                           help="worker threads for batch ranking; results "
-                                "do not depend on this")
+                           help="accepted and ignored; the risk kernel "
+                                "runs on one thread")
 
     p = sub.add_parser("build-costs",
                        help="emit the confusion-cost matrix as CSV")

@@ -173,12 +173,14 @@ def load_predictions(path, taxonomy: Taxonomy | None = None) -> PredictionSet:
     return PredictionSet(probs, truth, names)
 
 
-def save_predictions(preds: PredictionSet, path) -> None:
-    for n in preds.class_names:
+def _check_csv_names(names) -> None:
+    for n in names:
         if "," in n or "\n" in n or "\r" in n:
-            raise FormatError(
-                f"class name {n!r} cannot be written to CSV"
-            )
+            raise FormatError(f"class name {n!r} cannot be written to CSV")
+
+
+def save_predictions(preds: PredictionSet, path) -> None:
+    _check_csv_names(preds.class_names)
     rows = [PREDICTIONS_MAGIC, "truth," + ",".join(preds.class_names)]
     for i in range(preds.N):
         vals = ",".join(repr(float(x)) for x in preds.probs[i])
@@ -334,6 +336,7 @@ def cost_matrix_to_csv(C: CostMatrix) -> str:
     e = np.asarray(C.entries)
     if not np.all(e == np.floor(e)):
         raise ValueError("cost matrix entries are not integral")
+    _check_csv_names(C.class_names)
     lines = ["," + ",".join(C.class_names)]
     for i, name in enumerate(C.class_names):
         lines.append(name + "," + ",".join(str(int(x)) for x in e[i]))

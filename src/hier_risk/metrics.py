@@ -147,7 +147,10 @@ def metric_flaw_check(d_h, m, d_l, n) -> bool:
 
 def full_report(preds: PredictionSet, tax: Taxonomy, basis: str,
                 k_list=DEFAULT_K_LIST, threads: int = 1) -> MetricsReport:
-    """All metrics from one ranking of the batch and one reduction."""
+    """All metrics from one ranking of the batch and one reduction.
+
+    ``threads`` is accepted for compatibility and ignored.
+    """
     ks = _sorted_ks(k_list, tax.K)
-    ranked = batch_apply(preds, build_cost_matrix(tax), basis, threads=threads)
+    ranked = batch_apply(preds, build_cost_matrix(tax), basis)
     return _reduce(ranked, preds.truth, tax, ks)

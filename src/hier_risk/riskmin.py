@@ -5,15 +5,16 @@ cost sum_j C[k, j] * p[j]. Taking the argmin corrects the classifier's
 top-1 choice; sorting by ascending risk reorders the whole output so
 that errors stay close to the truth in the hierarchy.
 
-Determinism contract: risks accumulate in ascending j with one
-fused multiply-add sweep per column, so a row's result is bit-identical
-whether it is computed alone, inside a batch, or on any number of
-threads (the reduction never crosses rows).
+Determinism contract: one serial kernel on a single thread adds one
+product C[k, j] * p[j] per j to each risk, in ascending j, as a multiply
+followed by an add. The sum is row-local (it never crosses rows), so a
+row's result is bit-identical whether it is computed alone or inside a
+batch. The ``threads`` arguments are accepted for compatibility and
+ignored.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,9 +37,6 @@ __all__ = [
 
 LIKELIHOOD = "likelihood-descending"
 RISK = "risk-ascending"
-
-# Below this many rows, thread fan-out costs more than it saves.
-_PARALLEL_MIN_ROWS = 8192
 
 
 class CostMatrix:
@@ -157,30 +155,16 @@ def _check_prob_vector(p, K: int | None = None) -> np.ndarray:
     return arr
 
 
-def _risk_kernel(P: np.ndarray, Cf: np.ndarray, out=None) -> np.ndarray:
+def _risk_kernel(P: np.ndarray, Cf: np.ndarray) -> np.ndarray:
+    # CostMatrix enforces Cf == Cf.T, so the contiguous row Cf[j] holds
+    # the costs C[k, j] for every k.
     N, K = P.shape
-    if out is None:
-        out = np.zeros((N, K), dtype=np.float64)
+    out = np.zeros((N, K), dtype=np.float64)
     tmp = np.empty((N, K), dtype=np.float64)
     for j in range(K):
-        np.multiply(P[:, j, None], Cf[:, j], out=tmp)
+        np.multiply(P[:, j, None], Cf[j], out=tmp)
         out += tmp
     return out
-
-
-def _risk_matrix(P: np.ndarray, Cf: np.ndarray, threads: int = 1) -> np.ndarray:
-    N = P.shape[0]
-    if threads > 1 and N >= _PARALLEL_MIN_ROWS:
-        out = np.zeros((N, P.shape[1]), dtype=np.float64)
-        step = -(-N // threads)
-        spans = [(a, min(a + step, N)) for a in range(0, N, step)]
-        with ThreadPoolExecutor(max_workers=len(spans)) as pool:
-            futs = [pool.submit(_risk_kernel, P[a:b], Cf, out[a:b])
-                    for a, b in spans]
-            for f in futs:
-                f.result()
-        return out
-    return _risk_kernel(P, Cf)
 
 
 def conditional_risk(p, C: CostMatrix) -> np.ndarray:
@@ -248,7 +232,7 @@ def batch_apply(preds: PredictionSet, C: CostMatrix | None, basis: str,
     Row i of the result is bit-identical to the single-sample call on
     row i. ``C`` may be None for the likelihood basis only. Batches are
     ranked with one vectorized argsort; the risk basis first runs the
-    shared ascending-j kernel, chunked over rows when ``threads`` > 1.
+    shared serial ascending-j kernel. ``threads`` is ignored.
     The metrics computed from the result are exact integer sums with
     one final division, so they do not depend on the order of the rows.
     """
@@ -258,7 +242,7 @@ def batch_apply(preds: PredictionSet, C: CostMatrix | None, basis: str,
     if b == RISK:
         if C is None:
             raise ValueError("risk basis requires a cost matrix")
-        scores = _risk_matrix(preds.probs, C._float_entries, threads)
+        scores = _risk_kernel(preds.probs, C._float_entries)
         order = np.argsort(scores, axis=1, kind="stable")
     else:
         scores = preds.probs
@@ -272,17 +256,18 @@ def batch_crm_top1(preds: PredictionSet, C: CostMatrix,
 
     The shortcut takes the argmax wherever a row's maximum exceeds 0.5
     and the full risk argmin elsewhere; output is identical either way.
+    ``threads`` is ignored.
     """
     _check_costs(preds, C)
     P = preds.probs
     if not use_fastpath:
-        return np.argmin(_risk_matrix(P, C._float_entries, threads), axis=1)
+        return np.argmin(_risk_kernel(P, C._float_entries), axis=1)
     top = np.argmax(P, axis=1)
     if preds.N == 0:
         return top
     conf = P[np.arange(preds.N), top]
     slow = conf <= 0.5
     if slow.any():
-        risks = _risk_matrix(P[slow], C._float_entries, threads)
+        risks = _risk_kernel(P[slow], C._float_entries)
         top[slow] = np.argmin(risks, axis=1)
     return top

@@ -133,25 +133,22 @@ class Taxonomy:
     def lca_matrix(self) -> np.ndarray:
         """K x K int64 matrix of pairwise LCA heights over classes.
 
-        Built once and cached. Entry [i, j] is the height of the deepest
-        node that is an ancestor of both leaf i and leaf j.
+        Built once, with one vectorized K x K step per depth, and cached.
+        Entry [i, j] is the height of the deepest node that is an ancestor
+        of both leaf i and leaf j.
         """
         if self._lca is None:
-            h = self.heights()
             paths = [self.root_path(leaf) for leaf in self.leaves]
-            K = self.K
-            m = np.zeros((K, K), dtype=np.int64)
-            for i in range(K):
-                pi = paths[i]
-                for j in range(i + 1, K):
-                    pj = paths[j]
-                    top = min(len(pi), len(pj))
-                    ell = 0
-                    while ell < top and pi[ell] == pj[ell]:
-                        ell += 1
-                    v = h[pi[ell - 1]]
-                    m[i, j] = v
-                    m[j, i] = v
+            anc = np.full((self.K, max(map(len, paths))), -1, dtype=np.int64)
+            for i, path in enumerate(paths):
+                anc[i, :len(path)] = path
+            h = np.asarray(self.heights(), dtype=np.int64)
+            m = np.empty((self.K, self.K), dtype=np.int64)
+            # Every pair shares the root at depth 0; each deeper shared
+            # ancestor overwrites, leaving the lowest common one.
+            for col in anc.T:
+                shared = (col[:, None] == col) & (col >= 0)[:, None]
+                np.copyto(m, h[col][:, None], where=shared)
             m.setflags(write=False)
             self._lca = m
         return self._lca

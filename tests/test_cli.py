@@ -147,6 +147,19 @@ def test_cyclic_hierarchy_exits_two(tmp_path, capsys):
     assert "cycle" in capsys.readouterr().err
 
 
+def test_build_costs_rejects_comma_in_class_name(tmp_path, capsys):
+    hier = tmp_path / "h.tsv"
+    hier.write_text("a,x\tp\nb\tp\nc\tr\np\tr\n")
+    out = tmp_path / "c.csv"
+    assert main(["build-costs", "--hierarchy", str(hier),
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: class name 'a,x' cannot be written "
+                            "to CSV\n")
+    assert not out.exists()
+
+
 def test_missing_file_exits_two(capsys):
     assert main(["build-costs", "--hierarchy", "/nonexistent/h.tsv"]) == 2
     assert capsys.readouterr().err.startswith("error:")

@@ -268,6 +268,9 @@ def test_cost_matrix_csv_requirements(tmp_path):
     named = CostMatrix(np.array([[0.0, 0.5], [0.5, 0.0]]), ["a", "b"])
     with pytest.raises(ValueError, match="not integral"):
         cost_matrix_to_csv(named)
+    comma = build_cost_matrix(parse_taxonomy("a,x\tp\nb\tp\nc\tr\np\tr\n"))
+    with pytest.raises(FormatError, match="'a,x' cannot be written to CSV"):
+        cost_matrix_to_csv(comma)
     C = build_cost_matrix(parse_taxonomy(TWO_BRANCH_TEXT))
     path = tmp_path / "c.csv"
     save_cost_matrix(C, path)

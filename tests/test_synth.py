@@ -150,7 +150,7 @@ def test_prediction_k_mismatch_rejected():
 
 def test_oracle_risk_matches_kernel_bit_for_bit():
     rng = np.random.Generator(np.random.PCG64(2))
-    for K in (2, 3, 8, 12):
+    for K in (2, 3, 8, 12, 64):
         cfg = SynthConfig(seed=K, K=K, N=0, tree_mode="random-attachment")
         C = build_cost_matrix(gen_taxonomy(cfg))
         for _ in range(25):

@@ -100,8 +100,9 @@ def test_lca_height_validates_class_indices():
 
 
 def test_lca_matches_independent_walk_on_random_trees():
-    for seed in range(25):
-        tax = random_tree(seed, 2 + seed % 11)
+    trees = [random_tree(seed, 2 + seed % 11) for seed in range(25)]
+    trees.append(random_tree(21, 96))  # 198 nodes, height 11: all pairs
+    for tax in trees:
         for i in range(tax.K):
             for j in range(tax.K):
                 assert lca_height(tax, i, j) == oracle_lca(tax, i, j)
