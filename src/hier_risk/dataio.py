@@ -24,7 +24,7 @@ import numpy as np
 
 from .calibration import CONFIDENCE_SOURCES, CalibrationBins, CalibrationReport
 from .metrics import MetricsReport
-from .predictions import PredictionSet
+from .predictions import PredictionSet, validate_rows
 from .riskmin import CostMatrix
 from .taxonomy import Taxonomy, parse_taxonomy
 
@@ -92,6 +92,11 @@ def load_predictions(path, taxonomy: Taxonomy | None = None) -> PredictionSet:
     leaf set; columns are re-mapped by name onto taxonomy order, so the
     file's column order never matters. Without one, the file's own
     order stands and truth labels must appear in the header.
+
+    Rows obey the row rule of :mod:`.predictions`. The first fault in
+    file order is reported with its line: per data line the field count,
+    the truth label, then each token left to right (it must parse, be
+    finite and be >= 0); row sums only once every line has passed.
     """
     text = _read_bytes(path).decode("utf-8")
     if text.startswith("﻿"):
@@ -115,6 +120,8 @@ def load_predictions(path, taxonomy: Taxonomy | None = None) -> PredictionSet:
         raise FormatError("line 2: duplicate class name in header")
     K = len(names)
 
+    column = {n: i for i, n in enumerate(names)}
+    tax_names, label_to_idx = names, column
     if taxonomy is not None:
         tax_names = [taxonomy.names[l] for l in taxonomy.leaves]
         if set(names) != set(tax_names):
@@ -125,57 +132,58 @@ def load_predictions(path, taxonomy: Taxonomy | None = None) -> PredictionSet:
                 f"(missing {missing}, unexpected {extra})"
             )
         label_to_idx = taxonomy.leaf_order
-    else:
-        tax_names = None
-        label_to_idx = {n: i for i, n in enumerate(names)}
 
     n_rows = len(lines) - 2
     probs = np.empty((n_rows, K), dtype=np.float64)
     truth = np.empty(n_rows, dtype=np.int64)
+
+    def located(what: str, row: int, col: int | None) -> FormatError:
+        if col is None:
+            return FormatError(f"line {row + 3}: row {what}")
+        tok = lines[row + 2].split(",")[col + 1]
+        what = what.replace("non-finite probability", "non-finite value")
+        return FormatError(f"line {row + 3}: {what} {tok!r}")
+
+    def fail(r: int, message: str, parsed: int = 0):
+        # Values read before this fault come first in file order.
+        read = probs.reshape(1, -1)[:, :r * K + parsed]
+        fault = validate_rows(read, sums=False)
+        if fault:
+            raise located(fault[0], *divmod(fault[2], K)) from None
+        raise FormatError(f"line {r + 3}: {message}") from None
+
     for r, line in enumerate(lines[2:]):
-        lineno = r + 3
         parts = line.split(",")
         if len(parts) != K + 1:
-            raise FormatError(
-                f"line {lineno}: expected {K + 1} fields, got {len(parts)}"
-            )
-        label = parts[0]
-        idx = label_to_idx.get(label)
+            fail(r, f"expected {K + 1} fields, got {len(parts)}")
+        idx = label_to_idx.get(parts[0])
         if idx is None:
-            raise FormatError(f"line {lineno}: unknown truth label {label!r}")
+            fail(r, f"unknown truth label {parts[0]!r}")
         truth[r] = idx
-        for c, tok in enumerate(parts[1:]):
-            try:
-                v = float(tok)
-            except ValueError:
-                raise FormatError(
-                    f"line {lineno}: invalid number {tok!r}"
-                ) from None
-            if not math.isfinite(v):
-                raise FormatError(f"line {lineno}: non-finite value {tok!r}")
-            if v < 0.0:
-                raise FormatError(f"line {lineno}: negative probability {tok!r}")
-            probs[r, c] = v
+        try:
+            probs[r] = [float(tok) for tok in parts[1:]]
+        except ValueError:
+            for c, tok in enumerate(parts[1:]):
+                try:
+                    probs[r, c] = float(tok)
+                except ValueError:
+                    fail(r, f"invalid number {tok!r}", c)
 
-    sums = probs.sum(axis=1)
-    off = np.abs(sums - 1.0) > 1e-6
-    if off.any():
-        bad = int(np.where(off)[0][0])
-        raise FormatError(
-            f"line {bad + 3}: row probabilities sum to {sums[bad]!r}, "
-            "outside the 1e-6 tolerance"
-        )
-
-    if tax_names is not None and names != tax_names:
-        perm = [names.index(n) for n in tax_names]
-        probs = probs[:, perm]
-        names = tax_names
-    return PredictionSet(probs, truth, names)
+    ordered = probs
+    if names != tax_names:
+        ordered = probs[:, [column[n] for n in tax_names]]
+    try:
+        return PredictionSet(ordered, truth, tax_names)
+    except ValueError:
+        fault = validate_rows(probs)  # the first fault in file order
+        if fault is None:
+            raise
+        raise located(*fault) from None
 
 
 def _check_csv_names(names) -> None:
     for n in names:
-        if "," in n or "\n" in n or "\r" in n:
+        if any(ch in n for ch in ',"\n\r'):
             raise FormatError(f"class name {n!r} cannot be written to CSV")
 
 

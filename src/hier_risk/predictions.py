@@ -1,20 +1,44 @@
-"""Container pairing classifier probability outputs with ground truth."""
+"""Probability rows plus ground truth, and the one rule for the rows:
+entries finite and >= 0, each row summing to 1 within 1e-6 and divided
+by its sum unless that is exactly 1.0. Faults come in row-major order,
+the first bad entry before the first bad row sum."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["PredictionSet"]
+__all__ = ["PredictionSet", "validate_rows"]
+
+
+def validate_rows(probs: np.ndarray, sums: bool = True):
+    """Apply the row rule to the 2-d float64 ``probs``, renormalizing in
+    place. Return None, or the first fault as ``(what, row, col)`` with
+    ``col`` None for a row sum; ``sums=False`` checks entries only."""
+    if not np.isfinite(probs).all() or (probs.size and probs.min() < 0.0):
+        bad = ~np.isfinite(probs) | (probs < 0.0)
+        row, col = divmod(int(np.argmax(bad)), probs.shape[1])
+        what = "negative" if np.isfinite(probs[row, col]) else "non-finite"
+        return f"{what} probability", row, col
+    if not sums:
+        return None
+    total = probs.sum(axis=1)
+    off = np.abs(total - 1.0) > 1e-6
+    if off.any():
+        row = int(np.argmax(off))
+        return (f"probabilities sum to {float(total[row])!r}, "
+                "outside the 1e-6 tolerance", row, None)
+    np.divide(probs, total[:, None], out=probs, where=(total != 1.0)[:, None])
+    return None
 
 
 class PredictionSet:
     """N samples of class probabilities plus ground-truth labels.
 
-    ``probs`` is an (N, K) float64 matrix whose rows must sum to 1
-    within 1e-6. Rows whose sum is not exactly 1.0 are divided by their
-    sum at construction; rows already summing to exactly 1.0 are left
-    untouched so clean inputs stay bit-identical. K >= 1 (collapsed
-    label spaces can be a single class even though taxonomies need two).
+    A float64 copy of the (N, K) ``probs`` must pass the row rule of
+    :func:`validate_rows`, which renormalizes it; otherwise ValueError
+    names the first bad entry in row-major order, else the first row
+    whose sum is off. K >= 1 (collapsed label spaces can be a single
+    class even though taxonomies need two).
 
     Attributes:
         probs: (N, K) float64, validated and renormalized as above.
@@ -36,39 +60,20 @@ class PredictionSet:
         if K < 1:
             raise ValueError("need at least one class column")
         if len(names) != K:
-            raise ValueError(
-                f"{len(names)} class names for {K} probability columns"
-            )
+            raise ValueError(f"{len(names)} class names for {K} "
+                             "probability columns")
         if len(set(names)) != K:
             raise ValueError("class names must be unique")
-        if not np.isfinite(probs).all():
-            bad = int(np.where(~np.isfinite(probs).all(axis=1))[0][0])
-            raise ValueError(f"row {bad}: non-finite probability")
-        if probs.size and probs.min() < 0.0:
-            bad = int(np.where((probs < 0.0).any(axis=1))[0][0])
-            raise ValueError(f"row {bad}: negative probability")
-        sums = probs.sum(axis=1)
-        off = np.abs(sums - 1.0) > 1e-6
-        if off.any():
-            bad = int(np.where(off)[0][0])
+        fault = validate_rows(probs)
+        if fault:
+            raise ValueError(f"row {fault[1]}: {fault[0]}")
+        bad = (truth < 0) | (truth >= K)
+        if bad.any():
+            row = int(np.argmax(bad))
             raise ValueError(
-                f"row {bad}: probabilities sum to {sums[bad]!r}, "
-                "outside the 1e-6 tolerance"
-            )
-        fix = sums != 1.0
-        if fix.any():
-            probs[fix] /= sums[fix, None]
-        if truth.size:
-            if truth.min() < 0 or truth.max() >= K:
-                bad = int(np.where((truth < 0) | (truth >= K))[0][0])
-                raise ValueError(
-                    f"row {bad}: truth index {truth[bad]} out of range"
-                )
-        self.probs = probs
-        self.truth = truth
-        self.class_names = names
-        self.N = probs.shape[0]
-        self.K = K
+                f"row {row}: truth index {truth[row]} out of range")
+        self.probs, self.truth, self.class_names = probs, truth, names
+        self.N, self.K = probs.shape
 
     def __repr__(self) -> str:
         return f"PredictionSet(N={self.N}, K={self.K})"

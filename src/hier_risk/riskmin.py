@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .predictions import PredictionSet
+from .predictions import PredictionSet, validate_rows
 from .taxonomy import Taxonomy
 
 __all__ = [
@@ -45,23 +45,25 @@ class CostMatrix:
     Matrices built from a taxonomy carry integer LCA heights and the
     class names in taxonomy order. Raw arrays are accepted as a side
     door for testing and are validated only for squareness, symmetry,
-    and the zero diagonal.
+    and the zero diagonal. ``entries`` is one read-only C-contiguous
+    table, the same one the risk kernel reads.
     """
 
-    __slots__ = ("K", "entries", "class_names", "_float_entries")
+    __slots__ = ("K", "entries", "class_names")
 
     def __init__(self, entries, class_names=None):
-        e = np.array(entries, copy=True)
+        e = np.array(entries, order="C", copy=True)
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise ValueError("cost matrix must be square")
         if e.shape[0] < 1:
             raise ValueError("cost matrix must be at least 1 x 1")
-        if not np.isfinite(e.astype(np.float64)).all():
+        if not np.isfinite(e).all():
             raise ValueError("cost matrix entries must be finite")
         if not (e == e.T).all():
             raise ValueError("cost matrix must be symmetric")
         if (np.diag(e) != 0).any():
             raise ValueError("cost matrix diagonal must be zero")
+        e.flags.writeable = False
         self.entries = e
         self.K = e.shape[0]
         if class_names is not None:
@@ -71,7 +73,6 @@ class CostMatrix:
             if len(set(class_names)) != self.K:
                 raise ValueError("class names must be unique")
         self.class_names = class_names
-        self._float_entries = np.ascontiguousarray(e, dtype=np.float64)
 
     def scaled(self, factor: float) -> "CostMatrix":
         """Side-door copy with every entry multiplied by ``factor``."""
@@ -141,28 +142,19 @@ def _check_prob_vector(p, K: int | None = None) -> np.ndarray:
         raise ValueError("probability vector must be 1-d")
     if K is not None and arr.shape[0] != K:
         raise ValueError(f"expected {K} probabilities, got {arr.shape[0]}")
-    if not np.isfinite(arr).all():
-        raise ValueError("non-finite probability entry")
-    if arr.size and arr.min() < 0.0:
-        raise ValueError("negative probability entry")
-    s = float(arr.sum())
-    if abs(s - 1.0) > 1e-6:
-        raise ValueError(
-            f"probabilities sum to {s!r}, outside the 1e-6 tolerance"
-        )
-    if s != 1.0:
-        arr = arr / s
+    fault = validate_rows(arr[None, :])
+    if fault:
+        raise ValueError(fault[0])
     return arr
 
 
-def _risk_kernel(P: np.ndarray, Cf: np.ndarray) -> np.ndarray:
-    # CostMatrix enforces Cf == Cf.T, so the contiguous row Cf[j] holds
-    # the costs C[k, j] for every k.
-    N, K = P.shape
-    out = np.zeros((N, K), dtype=np.float64)
-    tmp = np.empty((N, K), dtype=np.float64)
-    for j in range(K):
-        np.multiply(P[:, j, None], Cf[j], out=tmp)
+def _risk_kernel(P: np.ndarray, C: np.ndarray) -> np.ndarray:
+    # CostMatrix enforces C == C.T, so the contiguous row C[j] holds the
+    # costs C[k, j] for every k; integer costs become float64 exactly.
+    out = np.zeros(P.shape, dtype=np.float64)
+    tmp = np.empty(P.shape, dtype=np.float64)
+    for j in range(P.shape[1]):
+        np.multiply(P[:, j, None], C[j], out=tmp)
         out += tmp
     return out
 
@@ -170,7 +162,7 @@ def _risk_kernel(P: np.ndarray, Cf: np.ndarray) -> np.ndarray:
 def conditional_risk(p, C: CostMatrix) -> np.ndarray:
     """Per-class risks sum_j C[k, j] * p[j] for one sample."""
     q = _check_prob_vector(p, C.K)
-    return _risk_kernel(q[None, :], C._float_entries)[0]
+    return _risk_kernel(q[None, :], C.entries)[0]
 
 
 def crm_predict(p, C: CostMatrix, use_fastpath: bool = False) -> int:
@@ -185,8 +177,7 @@ def crm_predict(p, C: CostMatrix, use_fastpath: bool = False) -> int:
         m = int(np.argmax(q))
         if q[m] > 0.5:
             return m
-    risks = _risk_kernel(q[None, :], C._float_entries)[0]
-    return int(np.argmin(risks))
+    return int(np.argmin(_risk_kernel(q[None, :], C.entries)[0]))
 
 
 def crm_rerank(p, C: CostMatrix) -> RankedOutput:
@@ -195,8 +186,7 @@ def crm_rerank(p, C: CostMatrix) -> RankedOutput:
     Always runs the full risk computation; the top-1 shortcut cannot
     order the remaining classes.
     """
-    q = _check_prob_vector(p, C.K)
-    risks = _risk_kernel(q[None, :], C._float_entries)[0]
+    risks = conditional_risk(p, C)
     order = np.argsort(risks, kind="stable")
     return RankedOutput(order.astype(np.int64), risks, RISK)
 
@@ -242,7 +232,7 @@ def batch_apply(preds: PredictionSet, C: CostMatrix | None, basis: str,
     if b == RISK:
         if C is None:
             raise ValueError("risk basis requires a cost matrix")
-        scores = _risk_kernel(preds.probs, C._float_entries)
+        scores = _risk_kernel(preds.probs, C.entries)
         order = np.argsort(scores, axis=1, kind="stable")
     else:
         scores = preds.probs
@@ -261,13 +251,9 @@ def batch_crm_top1(preds: PredictionSet, C: CostMatrix,
     _check_costs(preds, C)
     P = preds.probs
     if not use_fastpath:
-        return np.argmin(_risk_kernel(P, C._float_entries), axis=1)
+        return np.argmin(_risk_kernel(P, C.entries), axis=1)
     top = np.argmax(P, axis=1)
-    if preds.N == 0:
-        return top
-    conf = P[np.arange(preds.N), top]
-    slow = conf <= 0.5
+    slow = P[np.arange(preds.N), top] <= 0.5
     if slow.any():
-        risks = _risk_kernel(P[slow], C._float_entries)
-        top[slow] = np.argmin(risks, axis=1)
+        top[slow] = np.argmin(_risk_kernel(P[slow], C.entries), axis=1)
     return top

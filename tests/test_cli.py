@@ -160,6 +160,19 @@ def test_build_costs_rejects_comma_in_class_name(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_build_costs_rejects_quote_in_class_name(tmp_path, capsys):
+    hier = tmp_path / "h.tsv"
+    hier.write_text('"a\tp\nb\tp\nc\tr\np\tr\n')
+    out = tmp_path / "c.csv"
+    assert main(["build-costs", "--hierarchy", str(hier),
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: class name '\"a' cannot be written "
+                            "to CSV\n")
+    assert not out.exists()
+
+
 def test_missing_file_exits_two(capsys):
     assert main(["build-costs", "--hierarchy", "/nonexistent/h.tsv"]) == 2
     assert capsys.readouterr().err.startswith("error:")

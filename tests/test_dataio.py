@@ -137,10 +137,54 @@ def test_prediction_format_errors_carry_line_numbers(tmp_path):
          r"line 3: negative"),
         (PREDICTIONS_MAGIC + "\ntruth,a,b\na,0.5,0.5\nb,0.9,0.2\n",
          r"line 4: row probabilities sum"),
+        # Full messages; the sum prints as a plain float.
+        (PREDICTIONS_MAGIC + "\ntruth,a,b\na,0.5,0.5\nb,0.9,0.2\n",
+         r"^line 4: row probabilities sum to 1\.1, "
+         r"outside the 1e-6 tolerance$"),
+        (PREDICTIONS_MAGIC + "\ntruth,a,b\na,0.5,inf\n",
+         r"^line 3: non-finite value 'inf'$"),
+        (PREDICTIONS_MAGIC + "\ntruth,a,b\na,-0.25,1.25\n",
+         r"^line 3: negative probability '-0\.25'$"),
+        (PREDICTIONS_MAGIC + "\ntruth,a,b\na,0.5,oops\n",
+         r"^line 3: invalid number 'oops'$"),
+        # Several faults: the first in file order wins.
+        (PREDICTIONS_MAGIC + "\ntruth,a,b\na,inf,oops\n",
+         r"^line 3: non-finite value 'inf'$"),
+        (PREDICTIONS_MAGIC + "\ntruth,a,b\na,oops,inf\n",
+         r"^line 3: invalid number 'oops'$"),
+        (PREDICTIONS_MAGIC + "\ntruth,a,b\na,-1,2\nb,0.5\n",
+         r"^line 3: negative probability '-1'$"),
+        (PREDICTIONS_MAGIC + "\ntruth,a,b\na,0.9,0.2\nb,0.5,oops\n",
+         r"^line 4: invalid number 'oops'$"),
     ]
     for body, pattern in cases:
         with pytest.raises(FormatError, match=pattern):
             load_predictions(write_pred_file(tmp_path, body))
+    # With a hierarchy the columns are re-mapped, but the fault is still
+    # named by the file's own token and line.
+    tax = parse_taxonomy(TWO_BRANCH_TEXT)
+    body = (PREDICTIONS_MAGIC + "\ntruth,d,c,b,a\n"
+            "a,0.25,0.25,0.25,0.25\nb,0.5,0.25,-0.5,0.75\n")
+    with pytest.raises(FormatError,
+                       match=r"^line 4: negative probability '-0\.5'$"):
+        load_predictions(write_pred_file(tmp_path, body), tax)
+
+
+def test_prediction_set_names_first_fault_in_row_major_order():
+    names = ["a", "b", "c"]
+    cases = [
+        ([[0.5, 0.5, 0.0], [0.5, -1.0, np.nan]],
+         r"^row 1: negative probability$"),
+        ([[0.5, 0.5, 0.0], [np.nan, -1.0, 0.5]],
+         r"^row 1: non-finite probability$"),
+        ([[0.5, 0.5, 0.1], [0.5, 0.5, -1.0]],
+         r"^row 1: negative probability$"),
+        ([[0.5, 0.5, 0.0], [0.5, 0.5, 0.1]],
+         r"^row 1: probabilities sum to 1\.1, outside the 1e-6 tolerance$"),
+    ]
+    for probs, pattern in cases:
+        with pytest.raises(ValueError, match=pattern):
+            PredictionSet(np.array(probs), np.array([0, 0]), names)
 
 
 def test_taxonomy_name_mismatch_is_detailed(tmp_path):
@@ -152,10 +196,11 @@ def test_taxonomy_name_mismatch_is_detailed(tmp_path):
 
 
 def test_save_predictions_rejects_unwritable_names(tmp_path):
-    preds = PredictionSet(np.array([[0.5, 0.5]]), np.array([0]),
-                          ["a,b", "c"])
-    with pytest.raises(FormatError, match="cannot be written"):
-        save_predictions(preds, tmp_path / "x.csv")
+    for bad in ("a,b", '"a'):
+        preds = PredictionSet(np.array([[0.5, 0.5]]), np.array([0]),
+                              [bad, "c"])
+        with pytest.raises(FormatError, match="cannot be written"):
+            save_predictions(preds, tmp_path / "x.csv")
 
 
 def sample_metrics_report():
@@ -271,6 +316,9 @@ def test_cost_matrix_csv_requirements(tmp_path):
     comma = build_cost_matrix(parse_taxonomy("a,x\tp\nb\tp\nc\tr\np\tr\n"))
     with pytest.raises(FormatError, match="'a,x' cannot be written to CSV"):
         cost_matrix_to_csv(comma)
+    quote = build_cost_matrix(parse_taxonomy('"a\tp\nb\tp\nc\tr\np\tr\n'))
+    with pytest.raises(FormatError, match="'\"a' cannot be written to CSV"):
+        cost_matrix_to_csv(quote)
     C = build_cost_matrix(parse_taxonomy(TWO_BRANCH_TEXT))
     path = tmp_path / "c.csv"
     save_cost_matrix(C, path)

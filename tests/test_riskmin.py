@@ -46,6 +46,17 @@ def test_cost_matrix_class_name_validation():
         CostMatrix(np.array([[0, 1], [1, 0]]), ["a"])
 
 
+def test_cost_matrix_entries_are_read_only():
+    # The kernel reads ``entries`` itself, so a write could only make the
+    # exported table and the risks disagree; it must fail instead.
+    C = build_cost_matrix(parse_taxonomy("a\tp\nb\tp\nc\tr\np\tr\n"))
+    for M in (C, C.scaled(2)):
+        assert M.entries.flags.c_contiguous
+        with pytest.raises(ValueError, match="read-only"):
+            M.entries[0, 2] = 7
+    assert conditional_risk([0, 0, 1], C).tolist() == [2.0, 2.0, 0.0]
+
+
 def test_scaled_returns_new_matrix():
     C = build_cost_matrix(TWO_BRANCH)
     D = C.scaled(2.5)
@@ -63,6 +74,11 @@ def test_probability_vector_validation():
     with pytest.raises(ValueError, match="non-finite"):
         conditional_risk([np.nan, 0.5, 0.5], C)
     with pytest.raises(ValueError, match="1e-6"):
+        conditional_risk([0.5, 0.5, 0.1], C)
+    with pytest.raises(ValueError, match=r"^negative probability$"):
+        conditional_risk([0.5, -0.5, np.nan], C)
+    with pytest.raises(ValueError, match=r"^probabilities sum to 1\.1, "
+                                         r"outside the 1e-6 tolerance$"):
         conditional_risk([0.5, 0.5, 0.1], C)
     with pytest.raises(ValueError, match="1-d"):
         conditional_risk(np.ones((1, 3)) / 3, C)
