@@ -49,11 +49,6 @@ def _positive_int(text: str) -> int:
     return v
 
 
-def _indent_json(doc: str, pad: str) -> str:
-    lines = doc.rstrip("\n").split("\n")
-    return lines[0] + "\n" + "\n".join(pad + l for l in lines[1:])
-
-
 def _cmd_build_costs(args) -> str:
     tax = load_hierarchy(args.hierarchy)
     return cost_matrix_to_csv(build_cost_matrix(tax))
@@ -110,30 +105,13 @@ def _cmd_calibrate(args) -> str:
 
 def _cmd_shuffle_eval(args) -> str:
     tax = load_hierarchy(args.hierarchy)
-    shuffled = shuffle_leaves(tax, args.seed)
+    trees = {"original": tax, "shuffled": shuffle_leaves(tax, args.seed)}
     preds = load_predictions(args.predictions, tax)
-    pick = {
-        ("likelihood", "original"): (tax, "likelihood"),
-        ("likelihood", "shuffled"): (shuffled, "likelihood"),
-        ("crm", "original"): (tax, "crm"),
-        ("crm", "shuffled"): (shuffled, "crm"),
-    }
-    docs = {}
-    for key, (t, basis) in pick.items():
-        report = full_report(preds, t, basis, args.k)
-        docs[key] = _indent_json(metrics_report_to_json(report), "    ")
-    return (
-        "{\n"
-        '  "likelihood": {\n'
-        '    "original": ' + docs[("likelihood", "original")] + ",\n"
-        '    "shuffled": ' + docs[("likelihood", "shuffled")] + "\n"
-        "  },\n"
-        '  "crm": {\n'
-        '    "original": ' + docs[("crm", "original")] + ",\n"
-        '    "shuffled": ' + docs[("crm", "shuffled")] + "\n"
-        "  }\n"
-        "}\n"
-    )
+    return metrics_report_to_json({
+        basis: {name: full_report(preds, t, basis, args.k)
+                for name, t in trees.items()}
+        for basis in ("likelihood", "crm")
+    })
 
 
 def _cmd_simulate(args) -> None:

@@ -8,10 +8,16 @@ round-trip repr. Gzip input is detected by magic bytes; writing to a
 path ending in ``.gz`` compresses with a zeroed mtime so identical
 inputs give identical bytes.
 
-Reports serialize through a small hand-rolled JSON emitter with a fixed
-field order and floats at 17 significant digits, so identical runs
-produce identical bytes regardless of dict iteration details. Loading
-rejects unknown fields.
+Reports (``MetricsReport``, ``CalibrationReport``) go through one JSON
+emitter and one loader, both driven by the per-report field tables in
+``_LAYOUTS``. The layout: 2-space indent, fields in dataclass field
+order, int-keyed objects (``distance_at_k``, ``histogram``) with keys
+ascending, floats at 17 significant digits (``.17g``), ``null`` for an
+undefined ``severity_over_mistakes``, and a trailing newline, so
+identical runs produce identical bytes. ``shuffle-eval`` nests its four
+metrics reports under basis, then tree. Loading rejects unknown and
+missing fields and any value of the wrong kind; integers (``n_mistakes``
+and histogram counts) must be JSON integers.
 """
 
 from __future__ import annotations
@@ -196,56 +202,74 @@ def save_predictions(preds: PredictionSet, path) -> None:
     _write_bytes(path, ("\n".join(rows) + "\n").encode("utf-8"))
 
 
-def _f17(x) -> str:
-    v = float(x)
+# Report layouts: field -> kind, in dataclass field order. Kinds are
+# "float" (.17g), "float|null", "int", "source" (a confidence source),
+# and "{float}" / "{int}", objects with int keys in ascending order.
+_LAYOUTS = {
+    MetricsReport: {
+        "top1_error": "float", "distance_at_k": "{float}",
+        "severity_over_mistakes": "float|null", "severity_over_all": "float",
+        "n_mistakes": "int", "histogram": "{int}",
+    },
+    CalibrationReport: {
+        "ece_pre": "float", "ece_post": "float", "mce_pre": "float",
+        "mce_post": "float", "temperature": "float",
+        "confidence_source": "source",
+    },
+}
+
+
+def _source(v) -> str:
+    if not isinstance(v, str) or v not in CONFIDENCE_SOURCES:
+        raise FormatError(f"unknown confidence source {v!r}")
+    return v
+
+
+def _encode(kind: str, v):
+    """JSON token for one field value; an int-keyed dict for map kinds."""
+    if kind[0] == "{":
+        return {int(k): _encode(kind[1:-1], v[k]) for k in sorted(v)}
+    if kind == "float|null" and v is None:
+        return "null"
+    if kind == "source":
+        return json.dumps(_source(v))
+    if kind == "int":
+        if isinstance(v, bool) or int(v) != v:
+            raise FormatError(f"expected an integer, got {v!r}")
+        return str(int(v))
+    v = float(v)
     if not math.isfinite(v):
         raise FormatError(f"cannot serialize non-finite value {v!r}")
     return format(v, ".17g")
 
 
-def _int_str(x) -> str:
-    if isinstance(x, bool) or int(x) != x:
-        raise FormatError(f"expected an integer, got {x!r}")
-    return str(int(x))
-
-
-def _keyed_block(d: dict, pad: str, value_fn) -> str:
-    if not d:
+def _text(node, pad: str = "") -> str:
+    """JSON text of a report, or of a dict of reports or JSON tokens."""
+    if not isinstance(node, dict):
+        node = {f: _encode(kind, getattr(node, f))
+                for f, kind in _LAYOUTS[type(node)].items()}
+    if not node:
         return "{}"
     inner = ",\n".join(
-        f'{pad}  "{int(k)}": {value_fn(d[k])}' for k in sorted(d)
+        f"{pad}  {json.dumps(str(k))}: "
+        + (v if isinstance(v, str) else _text(v, pad + "  "))
+        for k, v in node.items()
     )
     return "{\n" + inner + "\n" + pad + "}"
 
 
-def metrics_report_to_json(r: MetricsReport) -> str:
-    som = ("null" if r.severity_over_mistakes is None
-           else _f17(r.severity_over_mistakes))
-    parts = [
-        f'  "top1_error": {_f17(r.top1_error)}',
-        '  "distance_at_k": ' + _keyed_block(r.distance_at_k, "  ", _f17),
-        f'  "severity_over_mistakes": {som}',
-        f'  "severity_over_all": {_f17(r.severity_over_all)}',
-        f'  "n_mistakes": {_int_str(r.n_mistakes)}',
-        '  "histogram": ' + _keyed_block(r.histogram, "  ", _int_str),
-    ]
-    return "{\n" + ",\n".join(parts) + "\n}\n"
+def metrics_report_to_json(r) -> str:
+    """A ``MetricsReport`` as JSON text, in the module's report layout.
+
+    Also takes a nested dict of reports, such as shuffle-eval's
+    ``{basis: {tree: MetricsReport}}``, and writes it as nested objects
+    in the dict's own order.
+    """
+    return _text(r) + "\n"
 
 
 def calibration_report_to_json(r: CalibrationReport) -> str:
-    if r.confidence_source not in CONFIDENCE_SOURCES:
-        raise FormatError(
-            f"unknown confidence source {r.confidence_source!r}"
-        )
-    parts = [
-        f'  "ece_pre": {_f17(r.ece_pre)}',
-        f'  "ece_post": {_f17(r.ece_post)}',
-        f'  "mce_pre": {_f17(r.mce_pre)}',
-        f'  "mce_post": {_f17(r.mce_post)}',
-        f'  "temperature": {_f17(r.temperature)}',
-        f'  "confidence_source": {json.dumps(r.confidence_source)}',
-    ]
-    return "{\n" + ",\n".join(parts) + "\n}\n"
+    return _text(r) + "\n"
 
 
 def save_metrics_report(r: MetricsReport, path) -> None:
@@ -256,85 +280,51 @@ def save_calibration_report(r: CalibrationReport, path) -> None:
     _write_bytes(path, calibration_report_to_json(r).encode("utf-8"))
 
 
-def _require_number(obj, field):
-    v = obj[field]
+def _decode(kind: str, v, field: str):
+    if kind[0] == "{":
+        if not isinstance(v, dict):
+            raise FormatError(f"field {field!r} must be an object")
+        out = {}
+        for k, x in v.items():
+            if not k.isdecimal():
+                raise FormatError(f"field {field!r}: bad key {k!r}")
+            if isinstance(x, bool) or not isinstance(x, (int, float)):
+                raise FormatError(f"field {field!r}: bad value {x!r}")
+            out[int(k)] = _decode(kind[1:-1], x, f"{field}.{k}")
+        return out
+    if kind == "float|null" and v is None:
+        return None
+    if kind == "source":
+        return _source(v)
+    if kind == "int":
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise FormatError(f"field {field!r} must be an integer")
+        return v
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise FormatError(f"field {field!r} must be a number")
     return float(v)
 
 
-def _require_int(obj, field):
-    v = obj[field]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise FormatError(f"field {field!r} must be an integer")
-    return v
-
-
-def _check_fields(obj, expected: set, what: str) -> None:
+def _load_report(path, cls, what: str):
+    obj = json.loads(_read_bytes(path).decode("utf-8"))
     if not isinstance(obj, dict):
         raise FormatError(f"{what} must be a JSON object")
-    unknown = set(obj) - expected
+    layout = _LAYOUTS[cls]
+    unknown = set(obj) - set(layout)
     if unknown:
         raise FormatError(f"{what}: unknown fields {sorted(unknown)}")
-    missing = expected - set(obj)
+    missing = set(layout) - set(obj)
     if missing:
         raise FormatError(f"{what}: missing fields {sorted(missing)}")
-
-
-def _int_keyed(obj, field, value_fn) -> dict:
-    d = obj[field]
-    if not isinstance(d, dict):
-        raise FormatError(f"field {field!r} must be an object")
-    out = {}
-    for k, v in d.items():
-        if not (isinstance(k, str) and k.isdigit()):
-            raise FormatError(f"field {field!r}: bad key {k!r}")
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise FormatError(f"field {field!r}: bad value {v!r}")
-        out[int(k)] = value_fn(v)
-    return out
+    return cls(**{f: _decode(kind, obj[f], f) for f, kind in layout.items()})
 
 
 def load_metrics_report(path) -> MetricsReport:
-    obj = json.loads(_read_bytes(path).decode("utf-8"))
-    _check_fields(obj, {
-        "top1_error", "distance_at_k", "severity_over_mistakes",
-        "severity_over_all", "n_mistakes", "histogram",
-    }, "metrics report")
-    som = obj["severity_over_mistakes"]
-    if som is not None:
-        som = _require_number(obj, "severity_over_mistakes")
-    hist = _int_keyed(obj, "histogram", int)
-    for v in hist.values():
-        if int(v) != v:
-            raise FormatError("histogram counts must be integers")
-    return MetricsReport(
-        top1_error=_require_number(obj, "top1_error"),
-        distance_at_k=_int_keyed(obj, "distance_at_k", float),
-        severity_over_mistakes=som,
-        severity_over_all=_require_number(obj, "severity_over_all"),
-        n_mistakes=_require_int(obj, "n_mistakes"),
-        histogram=hist,
-    )
+    return _load_report(path, MetricsReport, "metrics report")
 
 
 def load_calibration_report(path) -> CalibrationReport:
-    obj = json.loads(_read_bytes(path).decode("utf-8"))
-    _check_fields(obj, {
-        "ece_pre", "ece_post", "mce_pre", "mce_post",
-        "temperature", "confidence_source",
-    }, "calibration report")
-    source = obj["confidence_source"]
-    if source not in CONFIDENCE_SOURCES:
-        raise FormatError(f"unknown confidence source {source!r}")
-    return CalibrationReport(
-        ece_pre=_require_number(obj, "ece_pre"),
-        ece_post=_require_number(obj, "ece_post"),
-        mce_pre=_require_number(obj, "mce_pre"),
-        mce_post=_require_number(obj, "mce_post"),
-        temperature=_require_number(obj, "temperature"),
-        confidence_source=source,
-    )
+    return _load_report(path, CalibrationReport, "calibration report")
 
 
 def cost_matrix_to_csv(C: CostMatrix) -> str:
@@ -346,8 +336,8 @@ def cost_matrix_to_csv(C: CostMatrix) -> str:
         raise ValueError("cost matrix entries are not integral")
     _check_csv_names(C.class_names)
     lines = ["," + ",".join(C.class_names)]
-    for i, name in enumerate(C.class_names):
-        lines.append(name + "," + ",".join(str(int(x)) for x in e[i]))
+    for name, row in zip(C.class_names, e):
+        lines.append(name + "," + ",".join(str(int(x)) for x in row.tolist()))
     return "\n".join(lines) + "\n"
 
 

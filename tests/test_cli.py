@@ -1,14 +1,18 @@
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hier_risk import (build_cost_matrix, full_report, load_hierarchy,
-                       load_metrics_report, load_predictions)
+from hier_risk import (PredictionSet, build_cost_matrix, full_report,
+                       load_hierarchy, load_metrics_report, load_predictions,
+                       parse_taxonomy)
 from hier_risk.cli import main
 from hier_risk.dataio import PREDICTIONS_MAGIC, cost_matrix_to_csv
+from hier_risk.riskmin import batch_crm_top1
 
 
 @pytest.fixture()
@@ -220,3 +224,97 @@ def test_out_file_equals_stdout(corpus, tmp_path, capsys):
     out = tmp_path / "c.csv"
     assert main(args + ["--out", str(out)]) == 0
     assert out.read_text() == streamed
+
+
+SHUFFLE_HIER = "a\tp1\nb\tp1\nc\tp2\nd\tp2\np1\troot\np2\troot\n"
+SHUFFLE_PREDS = (PREDICTIONS_MAGIC + "\ntruth,a,b,c,d\n"
+                 "a,0.4,0.1,0.3,0.2\nc,0.4,0,0.3,0.3\n"
+                 "d,0.05,0.05,0.5,0.4\nb,0.3,0.1,0.35,0.25\n")
+
+
+def test_shuffle_eval_json_frozen(tmp_path, capsys):
+    # The second row is an argmax mistake that CRM amends within the p2 branch,
+    # so the two bases differ on the original tree.
+    hier, preds = tmp_path / "h.tsv", tmp_path / "p.csv"
+    hier.write_text(SHUFFLE_HIER)
+    preds.write_text(SHUFFLE_PREDS)
+    assert main(["shuffle-eval", "--hierarchy", str(hier),
+                 "--predictions", str(preds), "--seed", "0",
+                 "--k", "1"]) == 0
+    assert capsys.readouterr().out == (
+        '{\n'
+        '  "likelihood": {\n'
+        '    "original": {\n'
+        '      "top1_error": 0.75,\n'
+        '      "distance_at_k": {\n'
+        '        "1": 1.25\n'
+        '      },\n'
+        '      "severity_over_mistakes": 1.6666666666666667,\n'
+        '      "severity_over_all": 1.25,\n'
+        '      "n_mistakes": 3,\n'
+        '      "histogram": {\n'
+        '        "1": 1,\n'
+        '        "2": 2\n'
+        '      }\n'
+        '    },\n'
+        '    "shuffled": {\n'
+        '      "top1_error": 0.75,\n'
+        '      "distance_at_k": {\n'
+        '        "1": 1.25\n'
+        '      },\n'
+        '      "severity_over_mistakes": 1.6666666666666667,\n'
+        '      "severity_over_all": 1.25,\n'
+        '      "n_mistakes": 3,\n'
+        '      "histogram": {\n'
+        '        "1": 1,\n'
+        '        "2": 2\n'
+        '      }\n'
+        '    }\n'
+        '  },\n'
+        '  "crm": {\n'
+        '    "original": {\n'
+        '      "top1_error": 0.5,\n'
+        '      "distance_at_k": {\n'
+        '        "1": 0.75\n'
+        '      },\n'
+        '      "severity_over_mistakes": 1.5,\n'
+        '      "severity_over_all": 0.75,\n'
+        '      "n_mistakes": 2,\n'
+        '      "histogram": {\n'
+        '        "1": 1,\n'
+        '        "2": 1\n'
+        '      }\n'
+        '    },\n'
+        '    "shuffled": {\n'
+        '      "top1_error": 0.75,\n'
+        '      "distance_at_k": {\n'
+        '        "1": 1.25\n'
+        '      },\n'
+        '      "severity_over_mistakes": 1.6666666666666667,\n'
+        '      "severity_over_all": 1.25,\n'
+        '      "n_mistakes": 3,\n'
+        '      "histogram": {\n'
+        '        "1": 1,\n'
+        '        "2": 2\n'
+        '      }\n'
+        '    }\n'
+        '  }\n'
+        '}\n'
+    )
+
+
+def test_perfbench_trace_hooks_resolve():
+    # perfbench/trace_op.py rebinds these names to time the CLI path; a
+    # rename here would otherwise surface only under run.py --trace 1.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "trace_op.py"
+    spec = importlib.util.spec_from_file_location("trace_op", path)
+    trace_op = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace_op)
+    for targets in trace_op.PATCHES.values():
+        for owner, attr in targets:
+            assert callable(getattr(owner, attr, None)), (owner, attr)
+    tax = parse_taxonomy(SHUFFLE_HIER)
+    preds = PredictionSet(np.array([[0.4, 0.0, 0.3, 0.3]]), np.array([2]),
+                          ["a", "b", "c", "d"])
+    top1 = batch_crm_top1(preds, build_cost_matrix(tax), threads=1)
+    assert top1.tolist() == [2]

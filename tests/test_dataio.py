@@ -14,8 +14,9 @@ from hier_risk import (CalibrationReport, CostMatrix, FormatError,
                        save_hierarchy, save_metrics_report,
                        save_predictions)
 from hier_risk.calibration import CalibrationBins
-from hier_risk.dataio import (PREDICTIONS_MAGIC, cost_matrix_to_csv,
-                              histogram_to_csv, reliability_to_csv)
+from hier_risk.dataio import (PREDICTIONS_MAGIC, calibration_report_to_json,
+                              cost_matrix_to_csv, histogram_to_csv,
+                              metrics_report_to_json, reliability_to_csv)
 
 TWO_BRANCH_TEXT = "a\tp1\nb\tp1\nc\tp2\nd\tp2\np1\troot\np2\troot\n"
 
@@ -270,13 +271,67 @@ def test_report_loader_rejects_bad_documents(tmp_path):
         (lambda d: d.update(n_mistakes=True), "must be an integer"),
         (lambda d: d.update(n_mistakes=1.5), "must be an integer"),
         (lambda d: d.update(histogram={"x": 1}), "bad key"),
+        (lambda d: d.update(histogram={"\u00b2": 1}), "bad key"),
         (lambda d: d.update(distance_at_k={"1": None}), "bad value"),
+        (lambda d: d.update(histogram={"1": 2.5}), "must be an integer"),
     ]:
         doc = dict(good)
         mutate(doc)
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError, match=pattern):
             load_metrics_report(path)
+
+
+def test_metrics_report_json_frozen():
+    empty = MetricsReport(top1_error=1 / 3, distance_at_k={},
+                          severity_over_mistakes=None,
+                          severity_over_all=0.1, n_mistakes=0, histogram={})
+    assert metrics_report_to_json(empty) == (
+        '{\n'
+        '  "top1_error": 0.33333333333333331,\n'
+        '  "distance_at_k": {},\n'
+        '  "severity_over_mistakes": null,\n'
+        '  "severity_over_all": 0.10000000000000001,\n'
+        '  "n_mistakes": 0,\n'
+        '  "histogram": {}\n'
+        '}\n'
+    )
+    full = MetricsReport(top1_error=0.25, distance_at_k={5: 1.25, 1: 0.5},
+                         severity_over_mistakes=2.0, severity_over_all=0.5,
+                         n_mistakes=10, histogram={2: 6, 1: 4, 3: 0})
+    assert metrics_report_to_json(full) == (
+        '{\n'
+        '  "top1_error": 0.25,\n'
+        '  "distance_at_k": {\n'
+        '    "1": 0.5,\n'
+        '    "5": 1.25\n'
+        '  },\n'
+        '  "severity_over_mistakes": 2,\n'
+        '  "severity_over_all": 0.5,\n'
+        '  "n_mistakes": 10,\n'
+        '  "histogram": {\n'
+        '    "1": 4,\n'
+        '    "2": 6,\n'
+        '    "3": 0\n'
+        '  }\n'
+        '}\n'
+    )
+
+
+def test_calibration_report_json_frozen():
+    report = CalibrationReport(ece_pre=0.12, ece_post=1 / 3, mce_pre=0.3,
+                               mce_post=0.2, temperature=1.7,
+                               confidence_source="crm-selected")
+    assert calibration_report_to_json(report) == (
+        '{\n'
+        '  "ece_pre": 0.12,\n'
+        '  "ece_post": 0.33333333333333331,\n'
+        '  "mce_pre": 0.29999999999999999,\n'
+        '  "mce_post": 0.20000000000000001,\n'
+        '  "temperature": 1.7,\n'
+        '  "confidence_source": "crm-selected"\n'
+        '}\n'
+    )
 
 
 def test_calibration_report_round_trip(tmp_path):
@@ -289,10 +344,11 @@ def test_calibration_report_round_trip(tmp_path):
     doc = json.loads(path.read_text())
     assert list(doc) == ["ece_pre", "ece_post", "mce_pre", "mce_post",
                          "temperature", "confidence_source"]
-    doc["confidence_source"] = "vibes"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(FormatError, match="confidence source"):
-        load_calibration_report(path)
+    for bad in ("vibes", ["crm-selected"]):
+        doc["confidence_source"] = bad
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="confidence source"):
+            load_calibration_report(path)
 
 
 def test_cost_matrix_csv_frozen():
