@@ -4,8 +4,8 @@ Subcommands: build-costs, eval, calibrate, shuffle-eval, simulate.
 Exit codes: 0 success, 1 internal failure, 2 input or validation error
 (argparse usage errors included). The requested artifact goes to stdout
 unless --out is given; diagnostics go to stderr. Every subcommand is
-deterministic given identical files and flags. The risk kernel runs on
-one thread; --threads is accepted and ignored.
+deterministic given identical files and flags, whatever the BLAS
+thread count; --threads is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -141,8 +141,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                          "of stdout")
         if threads:
             p.add_argument("--threads", type=_positive_int,
-                           help="accepted and ignored; the risk kernel "
-                                "runs on one thread")
+                           help="accepted and ignored; rankings do not "
+                                "depend on threads")
 
     p = sub.add_parser("build-costs",
                        help="emit the confusion-cost matrix as CSV")

@@ -17,7 +17,8 @@ undefined ``severity_over_mistakes``, and a trailing newline, so
 identical runs produce identical bytes. ``shuffle-eval`` nests its four
 metrics reports under basis, then tree. Loading rejects unknown and
 missing fields and any value of the wrong kind; integers (``n_mistakes``
-and histogram counts) must be JSON integers.
+and histogram counts) must be JSON integers, numbers must be finite, and
+int keys must read as the emitter writes them (``str(int(k))``).
 """
 
 from __future__ import annotations
@@ -286,7 +287,7 @@ def _decode(kind: str, v, field: str):
             raise FormatError(f"field {field!r} must be an object")
         out = {}
         for k, x in v.items():
-            if not k.isdecimal():
+            if not k.isdecimal() or k != str(int(k)):
                 raise FormatError(f"field {field!r}: bad key {k!r}")
             if isinstance(x, bool) or not isinstance(x, (int, float)):
                 raise FormatError(f"field {field!r}: bad value {x!r}")
@@ -302,7 +303,13 @@ def _decode(kind: str, v, field: str):
         return v
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise FormatError(f"field {field!r} must be a number")
-    return float(v)
+    try:
+        v = float(v)
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
+        raise FormatError(f"field {field!r} must be finite, got {v!r}")
+    return v
 
 
 def _load_report(path, cls, what: str):
@@ -337,7 +344,12 @@ def cost_matrix_to_csv(C: CostMatrix) -> str:
     _check_csv_names(C.class_names)
     lines = ["," + ",".join(C.class_names)]
     for name, row in zip(C.class_names, e):
-        lines.append(name + "," + ",".join(str(int(x)) for x in row.tolist()))
+        # A row holds few distinct heights: format each once. Per row,
+        # because one np.unique over the whole table costs K x K temps.
+        vals, inv = np.unique(row, return_inverse=True)
+        strs = [str(int(v)) for v in vals.tolist()]
+        lines.append(name + "," + ",".join(map(strs.__getitem__,
+                                               inv.tolist())))
     return "\n".join(lines) + "\n"
 
 

@@ -5,12 +5,20 @@ cost sum_j C[k, j] * p[j]. Taking the argmin corrects the classifier's
 top-1 choice; sorting by ascending risk reorders the whole output so
 that errors stay close to the truth in the hierarchy.
 
-Determinism contract: one serial kernel on a single thread adds one
-product C[k, j] * p[j] per j to each risk, in ascending j, as a multiply
-followed by an add. The sum is row-local (it never crosses rows), so a
-row's result is bit-identical whether it is computed alone or inside a
-batch. The ``threads`` arguments are accepted for compatibility and
-ignored.
+Determinism contract: the reference risk of a (sample, class) pair is
+what the one exact kernel, ``_exact_risks``, computes: one product
+C[k, j] * p[j] per j, added in ascending j as a multiply followed by an
+add. Single-sample calls (``conditional_risk``, ``crm_predict``,
+``crm_rerank``) return those risks. Batches rank from a BLAS product
+``P @ C`` and certify it: per row, every risk of the product lies within
+a radius delta of the kernel risk, so classes whose approximate risks
+are more than 2 * delta apart are already in kernel order, and only the
+classes closer than that to a neighbour get their exact kernel risks
+before the row is sorted again. A batch permutation therefore equals
+the stable argsort of the kernel risks, ties to the lowest index,
+whatever the BLAS, its thread count or the batch split. Batch scores are
+the kernel risks at those near-ties and within delta of them elsewhere.
+The ``threads`` arguments are accepted for compatibility and ignored.
 """
 
 from __future__ import annotations
@@ -148,21 +156,100 @@ def _check_prob_vector(p, K: int | None = None) -> np.ndarray:
     return arr
 
 
-def _risk_kernel(P: np.ndarray, C: np.ndarray) -> np.ndarray:
-    # CostMatrix enforces C == C.T, so the contiguous row C[j] holds the
-    # costs C[k, j] for every k; integer costs become float64 exactly.
-    out = np.zeros(P.shape, dtype=np.float64)
-    tmp = np.empty(P.shape, dtype=np.float64)
-    for j in range(P.shape[1]):
-        np.multiply(P[:, j, None], C[j], out=tmp)
-        out += tmp
+def _exact_risks(P: np.ndarray, C: np.ndarray, rows: np.ndarray,
+                 cls: np.ndarray) -> np.ndarray:
+    """Kernel risks sum_j C[j, cls] * P[rows, j], one per (row, class) pair.
+
+    Products are added in ascending j, each a multiply followed by an
+    add, so a pair's risk never depends on the other pairs in the call.
+    CostMatrix enforces C == C.T, so the contiguous row C[j] holds the
+    costs C[k, j] for every k; integer costs become float64 exactly.
+    """
+    out = np.zeros(rows.shape, dtype=np.float64)
+    p = np.empty(rows.shape, dtype=np.float64)
+    c = np.empty(cls.shape, dtype=C.dtype)
+    for pj, cj in zip(P.T, C):
+        # The indices are in range; "clip" only skips a buffered check.
+        np.take(pj, rows, out=p, mode="clip")
+        np.take(cj, cls, out=c, mode="clip")
+        p *= c
+        out += p
     return out
+
+
+_U = 2.0 ** -53          # unit roundoff of float64
+_CHUNK = 1 << 16         # elements per block of rows or cost columns
+
+
+def _radius(P: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Per-row delta with |(P @ C)[i, k] - kernel risk| <= delta[i].
+
+    A dot product of n terms lies within gamma_n * sum |p_j C[j, k]| of
+    the exact value in any summation order, with or without FMA
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    Sec. 3.1); that covers both the BLAS product and the kernel. Here
+    sum |p_j C[j, k]| <= H * S with H = max |C| and S the row sum, which
+    the computed S understates by at most (K - 1) * u relative. The
+    bound is evaluated at n = K + 8 terms, so its own roundings stay
+    inside the margin; the last term covers products that underflow.
+    """
+    n = P.shape[1] + 8
+    gamma = n * _U / (1.0 - n * _U)
+    H = max(float(C.max()), -float(C.min()))
+    return (2.0 * gamma * H * (1.0 + 2.0 * n * _U)) * P.sum(axis=1) \
+        + n * 2.0 ** -1074
+
+
+def _certified_rank(P: np.ndarray, C: np.ndarray, approx=None):
+    """Permutation and scores of the exact ranking of every row of P.
+
+    ``approx`` replaces the BLAS product as the first estimate of the
+    risks; any array within ``_radius`` of the kernel risks gives the
+    same permutation. Work arrays stay O(_CHUNK) beyond the outputs.
+    """
+    N, K = P.shape
+    step = max(1, _CHUNK // K)           # rows per block
+    width = max(64, _CHUNK // K)         # cost columns per cast block
+    if approx is not None:
+        scores = np.array(approx, dtype=np.float64, order="C", copy=True)
+    else:
+        # Cost columns are cast a block at a time, so no K x K float
+        # table exists, and each product goes through a small temporary
+        # because matmul into a strided ``out`` does not reach BLAS.
+        scores = np.empty((N, K), dtype=np.float64)
+        for b in range(0, K, width):
+            Cb = C[:, b:b + width].astype(np.float64)
+            for lo in range(0, N, step):
+                scores[lo:lo + step, b:b + width] = P[lo:lo + step] @ Cb
+    perm = np.empty((N, K), dtype=np.int64)
+    tol = 2.0 * _radius(P, C)
+    for lo in range(0, N, step):
+        R, Pc = scores[lo:lo + step], P[lo:lo + step]
+        order = np.argsort(R, axis=1, kind="stable")
+        near = np.diff(np.take_along_axis(R, order, axis=1), axis=1) \
+            <= tol[lo:lo + step, None]
+        tied = np.zeros(order.shape, dtype=bool)
+        tied[:, 1:] = near
+        tied[:, :-1] |= near
+        r, at = np.nonzero(tied)
+        if r.size:
+            # Gaps above 2 * delta order both the estimates and the
+            # kernel risks, and a patched risk stays more than delta away
+            # from any unpatched estimate, so sorting the patched row
+            # sorts the kernel risks.
+            cls = order[r, at]
+            R[r, cls] = _exact_risks(Pc, C, r, cls)
+            redo = np.flatnonzero(near.any(axis=1))
+            order[redo] = np.argsort(R[redo], axis=1, kind="stable")
+        perm[lo:lo + step] = order
+    return perm, scores
 
 
 def conditional_risk(p, C: CostMatrix) -> np.ndarray:
     """Per-class risks sum_j C[k, j] * p[j] for one sample."""
     q = _check_prob_vector(p, C.K)
-    return _risk_kernel(q[None, :], C.entries)[0]
+    every = np.arange(C.K)
+    return _exact_risks(q[None, :], C.entries, np.zeros_like(every), every)
 
 
 def crm_predict(p, C: CostMatrix, use_fastpath: bool = False) -> int:
@@ -172,12 +259,12 @@ def crm_predict(p, C: CostMatrix, use_fastpath: bool = False) -> int:
     max(p) > 0.5, in which case the argmin provably equals the argmax.
     The shortcut is off by default and bit-identical when on.
     """
-    q = _check_prob_vector(p, C.K)
     if use_fastpath:
+        q = _check_prob_vector(p, C.K)
         m = int(np.argmax(q))
         if q[m] > 0.5:
             return m
-    return int(np.argmin(_risk_kernel(q[None, :], C.entries)[0]))
+    return int(np.argmin(conditional_risk(p, C)))
 
 
 def crm_rerank(p, C: CostMatrix) -> RankedOutput:
@@ -219,12 +306,15 @@ def batch_apply(preds: PredictionSet, C: CostMatrix | None, basis: str,
                 threads: int = 1) -> Ranking:
     """Rank every sample under the chosen basis.
 
-    Row i of the result is bit-identical to the single-sample call on
-    row i. ``C`` may be None for the likelihood basis only. Batches are
-    ranked with one vectorized argsort; the risk basis first runs the
-    shared serial ascending-j kernel. ``threads`` is ignored.
-    The metrics computed from the result are exact integer sums with
-    one final division, so they do not depend on the order of the rows.
+    Row i's permutation is bit-identical to the single-sample call on
+    row i. ``C`` may be None for the likelihood basis only. Likelihood
+    scores are the validated probabilities. Risk scores come from the
+    certified BLAS ranking (see the module docstring): exact kernel
+    risks wherever a class is within 2 * delta of a ranked neighbour,
+    exact ties included, and within delta of them elsewhere.
+    ``threads`` is ignored. The metrics computed from the result are
+    exact integer sums with one final division, so they do not depend
+    on the order of the rows.
     """
     b = _normalize_basis(basis)
     if C is not None:
@@ -232,8 +322,7 @@ def batch_apply(preds: PredictionSet, C: CostMatrix | None, basis: str,
     if b == RISK:
         if C is None:
             raise ValueError("risk basis requires a cost matrix")
-        scores = _risk_kernel(preds.probs, C.entries)
-        order = np.argsort(scores, axis=1, kind="stable")
+        order, scores = _certified_rank(preds.probs, C.entries)
     else:
         scores = preds.probs
         order = np.argsort(-scores, axis=1, kind="stable")
@@ -244,16 +333,18 @@ def batch_crm_top1(preds: PredictionSet, C: CostMatrix,
                    use_fastpath: bool = False, threads: int = 1) -> np.ndarray:
     """Risk-minimizing top-1 index per row, optionally shortcut.
 
-    The shortcut takes the argmax wherever a row's maximum exceeds 0.5
-    and the full risk argmin elsewhere; output is identical either way.
-    ``threads`` is ignored.
+    The full path is the rank-0 column of the certified ranking, so it
+    equals ``batch_apply(preds, C, "crm").permutation[:, 0]`` and the
+    argmin of the kernel risks. The shortcut takes the argmax wherever a
+    row's maximum exceeds 0.5 (Theorem 1) and the full path elsewhere;
+    output is identical either way. ``threads`` is ignored.
     """
     _check_costs(preds, C)
     P = preds.probs
     if not use_fastpath:
-        return np.argmin(_risk_kernel(P, C.entries), axis=1)
+        return _certified_rank(P, C.entries)[0][:, 0].copy()
     top = np.argmax(P, axis=1)
     slow = P[np.arange(preds.N), top] <= 0.5
     if slow.any():
-        top[slow] = np.argmin(_risk_kernel(P[slow], C.entries), axis=1)
+        top[slow] = _certified_rank(P[slow], C.entries)[0][:, 0]
     return top

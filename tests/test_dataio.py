@@ -1,5 +1,6 @@
 import gzip
 import json
+import math
 
 import numpy as np
 import pytest
@@ -274,12 +275,32 @@ def test_report_loader_rejects_bad_documents(tmp_path):
         (lambda d: d.update(histogram={"\u00b2": 1}), "bad key"),
         (lambda d: d.update(distance_at_k={"1": None}), "bad value"),
         (lambda d: d.update(histogram={"1": 2.5}), "must be an integer"),
+        # The emitter never writes these, so the loader must not read them.
+        (lambda d: d.update(top1_error=math.nan),
+         "'top1_error' must be finite"),
+        (lambda d: d.update(severity_over_all=math.inf),
+         "'severity_over_all' must be finite"),
+        (lambda d: d.update(severity_over_mistakes=-math.inf),
+         "'severity_over_mistakes' must be finite"),
+        (lambda d: d.update(top1_error=10 ** 400), "must be finite"),
+        (lambda d: d.update(distance_at_k={"1": math.nan}),
+         "'distance_at_k.1' must be finite"),
+        (lambda d: d.update(distance_at_k={"1": 0.5, "01": 9}), "bad key"),
+        (lambda d: d.update(histogram={"04": 4}), "bad key"),
+        (lambda d: d.update(histogram={"\u0661": 4}), "bad key"),
     ]:
         doc = dict(good)
         mutate(doc)
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError, match=pattern):
             load_metrics_report(path)
+    calibration = {"ece_pre": 0.1, "ece_post": 0.05, "mce_pre": 0.3,
+                   "mce_post": 0.2, "temperature": 1.5,
+                   "confidence_source": "max-likelihood"}
+    for value in (math.nan, math.inf, -math.inf):
+        path.write_text(json.dumps(dict(calibration, temperature=value)))
+        with pytest.raises(FormatError, match="'temperature' must be finite"):
+            load_calibration_report(path)
 
 
 def test_metrics_report_json_frozen():

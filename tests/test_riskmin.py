@@ -1,3 +1,7 @@
+import hashlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +11,8 @@ from hier_risk import (CostMatrix, PredictionSet, RankedOutput, Ranking,
                        build_cost_matrix, conditional_risk, crm_predict,
                        crm_rerank, gen_predictions, gen_taxonomy,
                        likelihood_rank, parse_taxonomy)
-from hier_risk.riskmin import LIKELIHOOD, RISK
+from hier_risk.riskmin import (LIKELIHOOD, RISK, _certified_rank,
+                               _check_prob_vector, _radius)
 
 TWO_BRANCH = parse_taxonomy(
     "a\tp1\nb\tp1\nc\tp2\nd\tp2\np1\troot\np2\troot\n")
@@ -267,3 +272,148 @@ def test_batch_top1_matches_full_ranking():
     tops = np.array([r.permutation[0] for r in ranked])
     assert np.array_equal(batch_crm_top1(preds, C), tops)
     assert np.array_equal(batch_crm_top1(preds, C, use_fastpath=True), tops)
+
+
+# Row shapes that put many classes at or near equal risk: rows on a
+# 10**-d grid, a handful of repeated values, uniform and one-hot rows, a
+# 50/50 split, and rows with subnormal entries.
+ROW_KINDS = ("grid2", "grid3", "grid4", "repeated", "uniform", "one-hot",
+             "halves", "subnormal")
+
+
+def adversarial_rows(rng, K, kinds):
+    rows = []
+    for kind in kinds:
+        if kind.startswith("grid"):
+            steps = 10 ** int(kind[4:])
+            row = rng.multinomial(steps, rng.dirichlet(np.full(K, 0.5)))
+            row = row / steps
+        elif kind == "repeated":
+            values = rng.dirichlet(np.ones(3))[rng.integers(0, 3, size=K)]
+            row = values / values.sum()
+        elif kind == "uniform":
+            row = np.full(K, 1.0 / K)
+        elif kind == "one-hot":
+            row = np.eye(K)[rng.integers(0, K)]
+        elif kind == "halves":
+            row = np.zeros(K)
+            row[rng.choice(K, size=2, replace=False)] = 0.5
+        else:
+            row = rng.dirichlet(np.ones(K))
+            tiny = rng.random(K) < 0.5
+            tiny[np.argmax(row)] = False
+            row[tiny] = 5e-324 * rng.integers(1, 2 ** 20, size=tiny.sum())
+            row /= row.sum()
+        rows.append(row)
+    return np.array(rows)
+
+
+def stacked_rerank(raw, C):
+    singles = [crm_rerank(row, C) for row in raw]
+    return (np.array([r.permutation for r in singles]),
+            np.array([r.scores for r in singles]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), K=st.integers(2, 300),
+       tree_mode=st.sampled_from(["flat", "balanced-binary",
+                                  "random-attachment"]),
+       scale=st.sampled_from([1.0, 0.1, 7.25]),
+       kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=6))
+def test_certified_batch_ranking_is_the_kernel_ranking(seed, K, tree_mode,
+                                                       scale, kinds):
+    # The batch ranks from a BLAS product; its certificate must still
+    # give exactly the single-sample permutations, on inputs built to
+    # be full of exact and near ties.
+    if tree_mode == "balanced-binary":
+        K = 1 << (K.bit_length() - 1)
+    tax = gen_taxonomy(SynthConfig(seed=seed, K=K, N=0, tree_mode=tree_mode))
+    C = build_cost_matrix(tax)
+    if scale != 1.0:
+        C = C.scaled(scale)
+    raw = adversarial_rows(np.random.Generator(np.random.PCG64(seed)), K,
+                           kinds)
+    preds = PredictionSet(raw, np.zeros(len(raw), dtype=np.int64),
+                          C.class_names)
+    # Both entry points see the same validated rows.
+    assert all(np.array_equal(_check_prob_vector(row), q)
+               for row, q in zip(raw, preds.probs))
+    batch = batch_apply(preds, C, "crm")
+    perms, risks = stacked_rerank(raw, C)
+    assert np.array_equal(batch.permutation, perms)
+    assert np.array_equal(batch_crm_top1(preds, C), perms[:, 0])
+    ranked = np.take_along_axis(batch.scores, perms, axis=1)
+    assert (np.diff(ranked, axis=1) >= 0).all()
+    tied = np.diff(ranked, axis=1) == 0
+    exact = np.take_along_axis(risks, perms, axis=1)
+    assert np.array_equal(ranked[:, 1:][tied], exact[:, 1:][tied])
+    assert np.array_equal(ranked[:, :-1][tied], exact[:, :-1][tied])
+    assert (np.abs(batch.scores - risks)
+            <= _radius(preds.probs, C.entries)[:, None]).all()
+
+
+def test_certificate_alone_gives_exact_order():
+    # Replace the BLAS product by the worst estimate the radius allows:
+    # every kernel risk moved by delta, up for even classes and down for
+    # odd ones. Ties split and near-ties swap, yet the certified
+    # permutation must not change.
+    tax = gen_taxonomy(SynthConfig(seed=3, K=64, N=0,
+                                   tree_mode="balanced-binary"))
+    C = build_cost_matrix(tax)
+    rng = np.random.Generator(np.random.PCG64(3))
+    raw = adversarial_rows(rng, 64, ROW_KINDS * 4)
+    preds = PredictionSet(raw, np.zeros(len(raw), dtype=np.int64),
+                          C.class_names)
+    perms, risks = stacked_rerank(raw, C)
+    delta = _radius(preds.probs, C.entries)[:, None]
+    approx = risks + np.where(np.arange(64) % 2 == 0, delta, -delta)
+    over = np.abs(approx - risks) > delta
+    approx[over] = np.nextafter(approx[over], risks[over])
+    assert (np.abs(approx - risks) <= delta).all()
+    assert not np.array_equal(np.argsort(approx, axis=1, kind="stable"),
+                              perms)
+    perm, scores = _certified_rank(preds.probs, C.entries, approx)
+    assert np.array_equal(perm, perms)
+    assert (np.diff(np.take_along_axis(scores, perm, axis=1), axis=1)
+            >= 0).all()
+
+
+RANK_IN_CHILD = """
+import hashlib
+import numpy as np
+from hier_risk import CostMatrix, PredictionSet, batch_apply
+C = np.load({costs!r})
+raw = np.load({rows!r})
+ranking = batch_apply(PredictionSet(raw, np.zeros(len(raw), dtype=np.int64),
+                                    [str(k) for k in range(len(C))]),
+                      CostMatrix(C), "crm")
+print(hashlib.sha256(ranking.permutation.tobytes()).hexdigest())
+"""
+
+
+def test_batch_permutation_is_independent_of_blas_threads(tmp_path,
+                                                         checkout_env):
+    # Large enough for a threaded BLAS product; rows on a 10**-3 grid
+    # leave many exact and near ties for the certificate to resolve.
+    tax = gen_taxonomy(SynthConfig(seed=5, K=256, N=0,
+                                   tree_mode="balanced-binary"))
+    C = build_cost_matrix(tax)
+    raw = adversarial_rows(np.random.Generator(np.random.PCG64(5)), 256,
+                           ["grid3"] * 300 + ["repeated"] * 20)
+    np.save(tmp_path / "C.npy", C.entries)
+    np.save(tmp_path / "rows.npy", raw)
+    script = RANK_IN_CHILD.format(costs=str(tmp_path / "C.npy"),
+                                  rows=str(tmp_path / "rows.npy"))
+    hashes = []
+    for threads in ("1", None):
+        env = dict(checkout_env)
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        env.pop("OMP_NUM_THREADS", None)
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        res = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        hashes.append(res.stdout.strip())
+    perms, _ = stacked_rerank(raw, C)
+    expected = hashlib.sha256(perms.astype(np.int64).tobytes()).hexdigest()
+    assert hashes == [expected, expected]
