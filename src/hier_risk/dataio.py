@@ -197,9 +197,10 @@ def _check_csv_names(names) -> None:
 def save_predictions(preds: PredictionSet, path) -> None:
     _check_csv_names(preds.class_names)
     rows = [PREDICTIONS_MAGIC, "truth," + ",".join(preds.class_names)]
-    for i in range(preds.N):
-        vals = ",".join(repr(float(x)) for x in preds.probs[i])
-        rows.append(f"{preds.class_names[preds.truth[i]]},{vals}")
+    # One row of Python floats at a time keeps the peak to the text.
+    for t, row in zip(preds.truth.tolist(), preds.probs):
+        vals = ",".join(map(repr, row.tolist()))
+        rows.append(f"{preds.class_names[t]},{vals}")
     _write_bytes(path, ("\n".join(rows) + "\n").encode("utf-8"))
 
 

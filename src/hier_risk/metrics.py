@@ -146,11 +146,8 @@ def metric_flaw_check(d_h, m, d_l, n) -> bool:
 
 
 def full_report(preds: PredictionSet, tax: Taxonomy, basis: str,
-                k_list=DEFAULT_K_LIST, threads: int = 1) -> MetricsReport:
-    """All metrics from one ranking of the batch and one reduction.
-
-    ``threads`` is accepted for compatibility and ignored.
-    """
+                k_list=DEFAULT_K_LIST) -> MetricsReport:
+    """All metrics from one ranking of the batch and one reduction."""
     ks = _sorted_ks(k_list, tax.K)
     ranked = batch_apply(preds, build_cost_matrix(tax), basis)
     return _reduce(ranked, preds.truth, tax, ks)

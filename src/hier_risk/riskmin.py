@@ -11,14 +11,13 @@ C[k, j] * p[j] per j, added in ascending j as a multiply followed by an
 add. Single-sample calls (``conditional_risk``, ``crm_predict``,
 ``crm_rerank``) return those risks. Batches rank from a BLAS product
 ``P @ C`` and certify it: per row, every risk of the product lies within
-a radius delta of the kernel risk, so classes whose approximate risks
-are more than 2 * delta apart are already in kernel order, and only the
-classes closer than that to a neighbour get their exact kernel risks
-before the row is sorted again. A batch permutation therefore equals
-the stable argsort of the kernel risks, ties to the lowest index,
-whatever the BLAS, its thread count or the batch split. Batch scores are
-the kernel risks at those near-ties and within delta of them elsewhere.
-The ``threads`` arguments are accepted for compatibility and ignored.
+a radius delta of the kernel risk, so a row whose sorted approximate
+risks are all more than 2 * delta apart is already in kernel order, and
+every other row is sorted again from its exact kernel risks. A batch
+permutation therefore equals the stable argsort of the kernel risks,
+ties to the lowest index, whatever the BLAS, its thread count or the
+batch split. Batch scores are the kernel risks on every row with a near
+tie and within delta of them elsewhere.
 """
 
 from __future__ import annotations
@@ -156,24 +155,17 @@ def _check_prob_vector(p, K: int | None = None) -> np.ndarray:
     return arr
 
 
-def _exact_risks(P: np.ndarray, C: np.ndarray, rows: np.ndarray,
-                 cls: np.ndarray) -> np.ndarray:
-    """Kernel risks sum_j C[j, cls] * P[rows, j], one per (row, class) pair.
+def _exact_risks(P: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Kernel risks sum_j C[j, k] * P[i, j] of every row i and class k.
 
     Products are added in ascending j, each a multiply followed by an
-    add, so a pair's risk never depends on the other pairs in the call.
+    add, so a row's risks never depend on the other rows in the call.
     CostMatrix enforces C == C.T, so the contiguous row C[j] holds the
     costs C[k, j] for every k; integer costs become float64 exactly.
     """
-    out = np.zeros(rows.shape, dtype=np.float64)
-    p = np.empty(rows.shape, dtype=np.float64)
-    c = np.empty(cls.shape, dtype=C.dtype)
+    out = np.zeros((P.shape[0], C.shape[1]), dtype=np.float64)
     for pj, cj in zip(P.T, C):
-        # The indices are in range; "clip" only skips a buffered check.
-        np.take(pj, rows, out=p, mode="clip")
-        np.take(cj, cls, out=c, mode="clip")
-        p *= c
-        out += p
+        out += pj[:, None] * cj
     return out
 
 
@@ -224,22 +216,14 @@ def _certified_rank(P: np.ndarray, C: np.ndarray, approx=None):
     perm = np.empty((N, K), dtype=np.int64)
     tol = 2.0 * _radius(P, C)
     for lo in range(0, N, step):
-        R, Pc = scores[lo:lo + step], P[lo:lo + step]
+        R = scores[lo:lo + step]
         order = np.argsort(R, axis=1, kind="stable")
-        near = np.diff(np.take_along_axis(R, order, axis=1), axis=1) \
-            <= tol[lo:lo + step, None]
-        tied = np.zeros(order.shape, dtype=bool)
-        tied[:, 1:] = near
-        tied[:, :-1] |= near
-        r, at = np.nonzero(tied)
-        if r.size:
-            # Gaps above 2 * delta order both the estimates and the
-            # kernel risks, and a patched risk stays more than delta away
-            # from any unpatched estimate, so sorting the patched row
-            # sorts the kernel risks.
-            cls = order[r, at]
-            R[r, cls] = _exact_risks(Pc, C, r, cls)
-            redo = np.flatnonzero(near.any(axis=1))
+        gaps = np.diff(np.take_along_axis(R, order, axis=1), axis=1)
+        redo = np.flatnonzero((gaps <= tol[lo:lo + step, None]).any(axis=1))
+        if redo.size:
+            # A row whose sorted gaps all exceed 2 * delta is already in
+            # kernel order; every other row is sorted from its exact risks.
+            R[redo] = _exact_risks(P[lo:lo + step][redo], C)
             order[redo] = np.argsort(R[redo], axis=1, kind="stable")
         perm[lo:lo + step] = order
     return perm, scores
@@ -247,32 +231,22 @@ def _certified_rank(P: np.ndarray, C: np.ndarray, approx=None):
 
 def conditional_risk(p, C: CostMatrix) -> np.ndarray:
     """Per-class risks sum_j C[k, j] * p[j] for one sample."""
-    q = _check_prob_vector(p, C.K)
-    every = np.arange(C.K)
-    return _exact_risks(q[None, :], C.entries, np.zeros_like(every), every)
+    return _exact_risks(_check_prob_vector(p, C.K)[None, :], C.entries)[0]
 
 
-def crm_predict(p, C: CostMatrix, use_fastpath: bool = False) -> int:
+def crm_predict(p, C: CostMatrix) -> int:
     """Class index minimizing the risk; ties go to the lowest index.
 
-    With ``use_fastpath`` the full computation is skipped whenever
-    max(p) > 0.5, in which case the argmin provably equals the argmax.
-    The shortcut is off by default and bit-identical when on.
+    On taxonomy costs a class holding more than half the mass is always
+    the answer (Theorem 1), but the risks are computed regardless: the
+    theorem needs the triangle inequality and positive off-diagonal
+    costs, which a raw cost matrix need not have.
     """
-    if use_fastpath:
-        q = _check_prob_vector(p, C.K)
-        m = int(np.argmax(q))
-        if q[m] > 0.5:
-            return m
     return int(np.argmin(conditional_risk(p, C)))
 
 
 def crm_rerank(p, C: CostMatrix) -> RankedOutput:
-    """All classes sorted by ascending risk, ties by ascending index.
-
-    Always runs the full risk computation; the top-1 shortcut cannot
-    order the remaining classes.
-    """
+    """All classes sorted by ascending risk, ties by ascending index."""
     risks = conditional_risk(p, C)
     order = np.argsort(risks, kind="stable")
     return RankedOutput(order.astype(np.int64), risks, RISK)
@@ -302,19 +276,18 @@ def _check_costs(preds: PredictionSet, C: CostMatrix) -> None:
         raise ValueError("prediction width does not match cost matrix")
 
 
-def batch_apply(preds: PredictionSet, C: CostMatrix | None, basis: str,
-                threads: int = 1) -> Ranking:
+def batch_apply(preds: PredictionSet, C: CostMatrix | None,
+                basis: str) -> Ranking:
     """Rank every sample under the chosen basis.
 
     Row i's permutation is bit-identical to the single-sample call on
     row i. ``C`` may be None for the likelihood basis only. Likelihood
     scores are the validated probabilities. Risk scores come from the
-    certified BLAS ranking (see the module docstring): exact kernel
-    risks wherever a class is within 2 * delta of a ranked neighbour,
-    exact ties included, and within delta of them elsewhere.
-    ``threads`` is ignored. The metrics computed from the result are
-    exact integer sums with one final division, so they do not depend
-    on the order of the rows.
+    certified BLAS ranking (see the module docstring): a row with any
+    near tie, exact ties included, holds its exact kernel risks, and
+    every other row is within delta of them. The metrics computed from
+    the result are exact integer sums with one final division, so they
+    do not depend on the order of the rows.
     """
     b = _normalize_basis(basis)
     if C is not None:
@@ -330,21 +303,13 @@ def batch_apply(preds: PredictionSet, C: CostMatrix | None, basis: str,
 
 
 def batch_crm_top1(preds: PredictionSet, C: CostMatrix,
-                   use_fastpath: bool = False, threads: int = 1) -> np.ndarray:
-    """Risk-minimizing top-1 index per row, optionally shortcut.
+                   threads: int = 1) -> np.ndarray:
+    """Risk-minimizing top-1 index per row.
 
-    The full path is the rank-0 column of the certified ranking, so it
-    equals ``batch_apply(preds, C, "crm").permutation[:, 0]`` and the
-    argmin of the kernel risks. The shortcut takes the argmax wherever a
-    row's maximum exceeds 0.5 (Theorem 1) and the full path elsewhere;
-    output is identical either way. ``threads`` is ignored.
+    This is the rank-0 column of the certified ranking, so it equals
+    ``batch_apply(preds, C, "crm").permutation[:, 0]`` and the argmin of
+    the kernel risks. ``threads`` is ignored; it stays because
+    ``perfbench/trace_op.py`` passes it.
     """
     _check_costs(preds, C)
-    P = preds.probs
-    if not use_fastpath:
-        return _certified_rank(P, C.entries)[0][:, 0].copy()
-    top = np.argmax(P, axis=1)
-    slow = P[np.arange(preds.N), top] <= 0.5
-    if slow.any():
-        top[slow] = _certified_rank(P[slow], C.entries)[0][:, 0]
-    return top
+    return _certified_rank(preds.probs, C.entries)[0][:, 0].copy()

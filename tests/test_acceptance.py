@@ -73,14 +73,9 @@ def test_01_dominant_mass_top1_matches_argmax():
             rows[i] = np.insert(rest, winners[i], tops[i])
         preds = PredictionSet(rows, winners.astype(np.int64),
                               [tax.names[l] for l in tax.leaves])
-        assert np.array_equal(
-            batch_crm_top1(preds, C, use_fastpath=False), winners)
-        assert np.array_equal(
-            batch_crm_top1(preds, C, use_fastpath=True), winners)
+        assert np.array_equal(batch_crm_top1(preds, C), winners)
         for i in (0, 13):
             assert crm_predict(preds.probs[i], C) == winners[i]
-            assert crm_predict(preds.probs[i], C,
-                               use_fastpath=True) == winners[i]
         pairs += 20
     assert pairs == 10_000
     assert time.monotonic() - started < 10.0
@@ -160,7 +155,7 @@ def test_03_vectorized_risks_and_lca_match_reference_walks():
 def paired_distance5_margin(preds, tax):
     C = build_cost_matrix(tax)
     L = tax.lca_matrix()
-    rank_r = batch_apply(preds, C, "crm", threads=4)
+    rank_r = batch_apply(preds, C, "crm")
     rank_l = batch_apply(preds, None, "likelihood")
     P_r = np.stack([r.permutation[:5] for r in rank_r])
     P_l = np.stack([r.permutation[:5] for r in rank_l])

@@ -318,3 +318,36 @@ def test_perfbench_trace_hooks_resolve():
                           ["a", "b", "c", "d"])
     top1 = batch_crm_top1(preds, build_cost_matrix(tax), threads=1)
     assert top1.tolist() == [2]
+
+
+def test_theorem1_check_fails_loudly(corpus, capsys, monkeypatch):
+    # A top-1 source that moves every argmax must trip the check.
+    def shifted(preds, C):
+        return (np.argmax(preds.probs, axis=1) + 1) % preds.K
+    monkeypatch.setattr("hier_risk.cli.batch_crm_top1", shifted)
+    code = main(["eval", "--hierarchy", corpus["hier"],
+                 "--predictions", corpus["preds"], "--k", "1,5",
+                 "--theorem1-fastpath"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("internal error:")
+
+
+def test_perfbench_trace_op_runs_eval(tmp_path, checkout_env):
+    # trace_op.py rebinds the CLI's names and calls batch_crm_top1 with
+    # threads=; run it end to end so a signature change shows here.
+    root = Path(__file__).resolve().parent.parent
+    h, p = str(tmp_path / "h.tsv"), str(tmp_path / "p.csv")
+    assert main(["simulate", "--seed", "4", "--classes", "16",
+                 "--samples", "200", "--tree-mode", "random-attachment",
+                 "--out-predictions", p, "--out-hierarchy", h]) == 0
+    spans = tmp_path / "spans.json"
+    res = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "trace_op.py"),
+         str(spans), "--", "eval", "--hierarchy", h, "--predictions", p,
+         "--basis", "crm", "--k", "1,5", "--threads", "2",
+         "--out", str(tmp_path / "m.json")],
+        env=checkout_env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    doc = json.loads(spans.read_text())
+    assert doc["rc"] == 0
+    assert {"riskmin.crm_top1", "riskmin.rank"} <= set(doc["totals"])

@@ -77,8 +77,7 @@ def test_rerank_flips_top_class_away_from_argmax():
 def test_fastpath_agrees_when_top_mass_dominates():
     C = build_cost_matrix(two_branch())
     p = [0.6, 0.2, 0.15, 0.05]
-    assert crm_predict(p, C, use_fastpath=True) == 0
-    assert crm_predict(p, C, use_fastpath=False) == 0
+    assert crm_predict(p, C) == 0
 
 
 def test_collapse_groups_by_branch():

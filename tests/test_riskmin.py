@@ -167,6 +167,14 @@ def test_ranking_rows_are_ranked_output_views():
             assert np.array_equal(view.scores, ranking.scores[i])
 
 
+def test_side_door_costs_get_the_full_risk_argmin():
+    # Theorem 1 needs the triangle inequality and positive off-diagonal
+    # costs; without them the argmax of a row with p > 0.5 can lose.
+    C = CostMatrix([[0, 1, 100], [1, 0, 1], [100, 1, 0]])
+    assert crm_predict([0.6, 0.0, 0.4], C) == 1
+    assert crm_predict([0.4, 0.6], CostMatrix(np.zeros((2, 2)))) == 0
+
+
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 10**6), K=st.integers(2, 16))
 def test_dominant_mass_keeps_the_argmax_on_top(seed, K):
@@ -181,20 +189,6 @@ def test_dominant_mass_keeps_the_argmax_on_top(seed, K):
     winner = int(rng.integers(0, K))
     p = np.insert(rest, winner, top)
     assert crm_predict(p, C) == winner
-    assert crm_predict(p, C, use_fastpath=True) == winner
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 10**6))
-def test_fastpath_is_bit_identical(seed):
-    rng = np.random.Generator(np.random.PCG64(seed))
-    K = int(rng.integers(2, 10))
-    tax = gen_taxonomy(SynthConfig(seed=seed, K=K, N=0,
-                                   tree_mode="random-attachment"))
-    C = build_cost_matrix(tax)
-    for _ in range(10):
-        p = rng.dirichlet(np.full(K, 0.4))
-        assert crm_predict(p, C) == crm_predict(p, C, use_fastpath=True)
 
 
 def dyadic_rows(seed, N, K, denom_bits=20):
@@ -253,25 +247,12 @@ def test_batch_apply_checks_class_names():
         batch_apply(renamed, C, "crm")
 
 
-def test_threaded_batch_is_bit_identical():
-    tax, preds = synth_batch(9, 6, 9000)
-    C = build_cost_matrix(tax)
-    serial = batch_apply(preds, C, "crm", threads=1)
-    threaded = batch_apply(preds, C, "crm", threads=4)
-    for a, b in zip(serial, threaded):
-        assert np.array_equal(a.permutation, b.permutation)
-        assert np.array_equal(a.scores, b.scores)
-    assert np.array_equal(batch_crm_top1(preds, C, threads=4),
-                          batch_crm_top1(preds, C, threads=1))
-
-
 def test_batch_top1_matches_full_ranking():
     tax, preds = synth_batch(12, 9, 512)
     C = build_cost_matrix(tax)
     ranked = batch_apply(preds, C, "crm")
     tops = np.array([r.permutation[0] for r in ranked])
     assert np.array_equal(batch_crm_top1(preds, C), tops)
-    assert np.array_equal(batch_crm_top1(preds, C, use_fastpath=True), tops)
 
 
 # Row shapes that put many classes at or near equal risk: rows on a
@@ -342,14 +323,14 @@ def test_certified_batch_ranking_is_the_kernel_ranking(seed, K, tree_mode,
     perms, risks = stacked_rerank(raw, C)
     assert np.array_equal(batch.permutation, perms)
     assert np.array_equal(batch_crm_top1(preds, C), perms[:, 0])
-    ranked = np.take_along_axis(batch.scores, perms, axis=1)
-    assert (np.diff(ranked, axis=1) >= 0).all()
-    tied = np.diff(ranked, axis=1) == 0
-    exact = np.take_along_axis(risks, perms, axis=1)
-    assert np.array_equal(ranked[:, 1:][tied], exact[:, 1:][tied])
-    assert np.array_equal(ranked[:, :-1][tied], exact[:, :-1][tied])
-    assert (np.abs(batch.scores - risks)
-            <= _radius(preds.probs, C.entries)[:, None]).all()
+    delta = _radius(preds.probs, C.entries)[:, None]
+    gaps = np.diff(np.take_along_axis(batch.scores, perms, axis=1), axis=1)
+    assert (gaps >= 0).all()
+    # Score contract: a row is its exact kernel risks bit for bit, or
+    # its sorted scores are all more than 2 * delta apart.
+    exact = (batch.scores == risks).all(axis=1)
+    assert (exact | (gaps > 2 * delta).all(axis=1)).all()
+    assert (np.abs(batch.scores - risks) <= delta).all()
 
 
 def test_certificate_alone_gives_exact_order():
