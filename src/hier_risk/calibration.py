@@ -151,10 +151,14 @@ def apply_temperature(probs, T: float) -> np.ndarray:
     arr = np.asarray(probs, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError("probs must be a 2-d row-stochastic matrix")
-    z = np.log(np.maximum(arr, PROB_FLOOR)) / T
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    # In place on one temporary: the same ufuncs give the same bits.
+    z = np.maximum(arr, PROB_FLOOR)
+    np.log(z, out=z)
+    z /= T
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
 def _mean_nll(probs: np.ndarray, truth: np.ndarray, T: float) -> float:

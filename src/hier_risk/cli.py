@@ -2,11 +2,11 @@
 
 Subcommands: build-costs, eval, calibrate, shuffle-eval, simulate.
 Exit codes: 0 success, 1 internal failure, 2 input or validation error
-(argparse usage errors included). The requested artifact goes to stdout
-unless --out is given; diagnostics go to stderr. Every subcommand is
-deterministic given identical files and flags, whatever the BLAS
-thread count. --threads is accepted and ignored; it stays because
-perfbench/run.py passes it.
+(argparse usage errors and running out of memory included). The
+requested artifact goes to stdout unless --out is given; diagnostics go
+to stderr. Every subcommand is deterministic given identical files and
+flags, whatever the BLAS thread count. --threads is accepted and
+ignored; it stays because perfbench/run.py passes it.
 """
 
 from __future__ import annotations
@@ -85,17 +85,18 @@ def _cmd_calibrate(args) -> str:
     if test.N == 0:
         raise ValueError("test prediction file has no rows")
     temperature = fit_temperature(val)
+    del val
+    basis, C = "likelihood", None
+    if args.source == "crm-selected":
+        basis, C = "crm", build_cost_matrix(tax)
+    # One ranking is resident at a time: each is binned, then dropped.
+    bins_pre = bin_confidences(test, batch_apply(test, C, basis),
+                               args.bins, args.source)
     post = PredictionSet(apply_temperature(test.probs, temperature),
                          test.truth, test.class_names)
-    if args.source == "crm-selected":
-        C = build_cost_matrix(tax)
-        ranked_pre = batch_apply(test, C, "crm")
-        ranked_post = batch_apply(post, C, "crm")
-    else:
-        ranked_pre = batch_apply(test, None, "likelihood")
-        ranked_post = batch_apply(post, None, "likelihood")
-    bins_pre = bin_confidences(test, ranked_pre, args.bins, args.source)
-    bins_post = bin_confidences(post, ranked_post, args.bins, args.source)
+    del test
+    bins_post = bin_confidences(post, batch_apply(post, C, basis),
+                                args.bins, args.source)
     report = CalibrationReport(
         ece_pre=ece(bins_pre), ece_post=ece(bins_post),
         mce_pre=mce(bins_pre), mce_post=mce(bins_post),
@@ -224,6 +225,10 @@ def main(argv=None) -> int:
                 sys.stdout.write(text)
     except (TaxonomyError, FormatError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:
+        print(f"error: out of memory ({str(e) or 'allocation failed'}); the "
+              "input is too large for this host", file=sys.stderr)
         return 2
     except Exception as e:  # pragma: no cover - defensive
         print(f"internal error: {e!r}", file=sys.stderr)

@@ -4,9 +4,12 @@ Prediction files are UTF-8 CSV with LF line endings. Line 1 is the
 format line ``#hier-risk-predictions v1``, line 2 the header
 ``truth,<class1>,...,<classK>``, and each data row holds a truth label
 followed by K probabilities. Floats are written with Python's shortest
-round-trip repr. Gzip input is detected by magic bytes; writing to a
-path ending in ``.gz`` compresses with a zeroed mtime so identical
-inputs give identical bytes.
+round-trip repr. Every file is read through one opener, which detects
+gzip by its magic bytes, and written through one, which compresses a
+path ending in ``.gz`` with a zeroed mtime so identical inputs give
+identical bytes. Prediction files stream through them a block of about
+1 MiB of whole lines at a time: loading holds one block of text and
+the float64 values, never the whole text.
 
 Reports (``MetricsReport``, ``CalibrationReport``) go through one JSON
 emitter and one loader, both driven by the per-report field tables in
@@ -26,6 +29,7 @@ from __future__ import annotations
 import gzip
 import json
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -61,22 +65,42 @@ class FormatError(ValueError):
     """Malformed file contents; the message carries line context."""
 
 
-def _read_bytes(path) -> bytes:
+_BLOCK = 1 << 20  # bytes per read, and about the bytes per write
+
+
+@contextmanager
+def _reader(path):
+    """Binary reader of a file's contents, gunzipped if the file starts
+    with the gzip magic bytes."""
     with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:2] == b"\x1f\x8b":
-        raw = gzip.decompress(raw)
-    return raw
+        if f.peek(2)[:2] == b"\x1f\x8b":
+            with gzip.GzipFile(fileobj=f) as gz:
+                yield gz
+        else:
+            yield f
 
 
-def _write_bytes(path, data: bytes) -> None:
+@contextmanager
+def _writer(path):
+    """Binary writer; a path ending in ``.gz`` is gzipped with a zeroed
+    mtime, so identical writes give identical bytes."""
     with open(path, "wb") as f:
         if str(path).endswith(".gz"):
             with gzip.GzipFile(filename="", mode="wb", fileobj=f,
                                mtime=0) as gz:
-                gz.write(data)
+                yield gz
         else:
-            f.write(data)
+            yield f
+
+
+def _read_bytes(path) -> bytes:
+    with _reader(path) as f:
+        return f.read()
+
+
+def _write_bytes(path, data: bytes) -> None:
+    with _writer(path) as f:
+        f.write(data)
 
 
 def load_hierarchy(path) -> Taxonomy:
@@ -92,74 +116,54 @@ def save_hierarchy(tax: Taxonomy, path) -> None:
     _write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def load_predictions(path, taxonomy: Taxonomy | None = None) -> PredictionSet:
-    """Parse a prediction CSV, optionally aligning it to a taxonomy.
+def _line_blocks(f):
+    """The file's lines, in lists of about ``_BLOCK`` bytes of whole lines.
 
-    With a taxonomy the header's class names must equal the taxonomy's
-    leaf set; columns are re-mapped by name onto taxonomy order, so the
-    file's column order never matters. Without one, the file's own
-    order stands and truth labels must appear in the header.
-
-    Rows obey the row rule of :mod:`.predictions`. The first fault in
-    file order is reported with its line: per data line the field count,
-    the truth label, then each token left to right (it must parse, be
-    finite and be >= 0); row sums only once every line has passed.
+    UTF-8, LF or CRLF endings. Trailing blank lines are never yielded;
+    an interior one is held back until the next non-blank line shows it
+    is not trailing. Each block is dropped before the next is read, so
+    one block's text is resident at a time.
     """
-    text = _read_bytes(path).decode("utf-8")
-    if text.startswith("﻿"):
-        text = text[1:]
-    lines = [l[:-1] if l.endswith("\r") else l for l in text.split("\n")]
-    while lines and lines[-1] == "":
-        lines.pop()
-    if not lines or lines[0] != PREDICTIONS_MAGIC:
-        raise FormatError(
-            f"line 1: expected format line {PREDICTIONS_MAGIC!r}"
-        )
-    if len(lines) < 2:
-        raise FormatError("line 2: missing header row")
-    header = lines[1].split(",")
-    if header[0] != "truth" or len(header) < 2:
-        raise FormatError(
-            "line 2: header must read 'truth,<class1>,...,<classK>'"
-        )
-    names = header[1:]
-    if len(set(names)) != len(names):
-        raise FormatError("line 2: duplicate class name in header")
-    K = len(names)
+    blanks = 0
+    while chunk := f.read(_BLOCK):
+        chunk += f.readline()  # on to the end of the chunk's last line
+        text = chunk.decode("utf-8")
+        del chunk
+        lines = [l[:-1] if l.endswith("\r") else l for l in text.split("\n")]
+        del text
+        if not lines[-1]:
+            lines.pop()  # the empty rest after the chunk's last newline
+        n = len(lines)
+        while n and not lines[n - 1]:
+            n -= 1
+        if n:
+            yield [""] * blanks + lines[:n]
+            blanks = 0
+        blanks += len(lines) - n
+        del lines
 
-    column = {n: i for i, n in enumerate(names)}
-    tax_names, label_to_idx = names, column
-    if taxonomy is not None:
-        tax_names = [taxonomy.names[l] for l in taxonomy.leaves]
-        if set(names) != set(tax_names):
-            missing = sorted(set(tax_names) - set(names))[:5]
-            extra = sorted(set(names) - set(tax_names))[:5]
-            raise FormatError(
-                f"line 2: class names do not match the taxonomy "
-                f"(missing {missing}, unexpected {extra})"
-            )
-        label_to_idx = taxonomy.leaf_order
 
-    n_rows = len(lines) - 2
-    probs = np.empty((n_rows, K), dtype=np.float64)
-    truth = np.empty(n_rows, dtype=np.int64)
+def _parse_rows(lines, first: int, K: int, label_to_idx):
+    """Values and truth indices of data lines, the first of them line
+    ``first`` of the file, or the first fault among them in file order."""
+    n = len(lines)
+    probs = np.empty((n, K), dtype=np.float64)
+    truth = np.empty(n, dtype=np.int64)
 
-    def located(what: str, row: int, col: int | None) -> FormatError:
-        if col is None:
-            return FormatError(f"line {row + 3}: row {what}")
-        tok = lines[row + 2].split(",")[col + 1]
+    def located(what: str, r: int, c: int) -> FormatError:
+        tok = lines[r].split(",")[c + 1]
         what = what.replace("non-finite probability", "non-finite value")
-        return FormatError(f"line {row + 3}: {what} {tok!r}")
+        return FormatError(f"line {first + r}: {what} {tok!r}")
 
     def fail(r: int, message: str, parsed: int = 0):
         # Values read before this fault come first in file order.
-        read = probs.reshape(1, -1)[:, :r * K + parsed]
-        fault = validate_rows(read, sums=False)
+        fault = validate_rows(probs.reshape(1, -1)[:, :r * K + parsed],
+                              sums=False)
         if fault:
             raise located(fault[0], *divmod(fault[2], K)) from None
-        raise FormatError(f"line {r + 3}: {message}") from None
+        raise FormatError(f"line {first + r}: {message}") from None
 
-    for r, line in enumerate(lines[2:]):
+    for r, line in enumerate(lines):
         parts = line.split(",")
         if len(parts) != K + 1:
             fail(r, f"expected {K + 1} fields, got {len(parts)}")
@@ -175,17 +179,90 @@ def load_predictions(path, taxonomy: Taxonomy | None = None) -> PredictionSet:
                     probs[r, c] = float(tok)
                 except ValueError:
                     fail(r, f"invalid number {tok!r}", c)
+    fault = validate_rows(probs, sums=False)
+    if fault:
+        raise located(*fault)
+    return probs, truth
 
-    ordered = probs
-    if names != tax_names:
-        ordered = probs[:, [column[n] for n in tax_names]]
+
+def load_predictions(path, taxonomy: Taxonomy | None = None) -> PredictionSet:
+    """Parse a prediction CSV, optionally aligning it to a taxonomy.
+
+    With a taxonomy the header's class names must equal the taxonomy's
+    leaf set; columns are re-mapped by name onto taxonomy order, so the
+    file's column order never matters. Without one, the file's own
+    order stands and truth labels must appear in the header.
+
+    Rows obey the row rule of :mod:`.predictions`. The first fault in
+    file order is reported with its line: per data line the field count,
+    the truth label, then each token left to right (it must parse, be
+    finite and be >= 0); row sums only once every line has passed.
+    The file is read a block of lines at a time, and each block's
+    entries are checked before the next is read, so only the float64
+    values stay resident.
+    """
+    with _reader(path) as f:
+        blocks = _line_blocks(f)
+        head = []
+        for block in blocks:
+            head += block
+            if len(head) >= 2:
+                break
+        if head and head[0].startswith("\ufeff"):
+            head[0] = head[0][1:]  # a byte-order mark
+        if not head or head[0] != PREDICTIONS_MAGIC:
+            raise FormatError(
+                f"line 1: expected format line {PREDICTIONS_MAGIC!r}"
+            )
+        if len(head) < 2:
+            raise FormatError("line 2: missing header row")
+        header = head[1].split(",")
+        if header[0] != "truth" or len(header) < 2:
+            raise FormatError(
+                "line 2: header must read 'truth,<class1>,...,<classK>'"
+            )
+        names = header[1:]
+        if len(set(names)) != len(names):
+            raise FormatError("line 2: duplicate class name in header")
+        K = len(names)
+
+        column = {n: i for i, n in enumerate(names)}
+        tax_names, label_to_idx = names, column
+        if taxonomy is not None:
+            tax_names = [taxonomy.names[l] for l in taxonomy.leaves]
+            if set(names) != set(tax_names):
+                missing = sorted(set(tax_names) - set(names))[:5]
+                extra = sorted(set(names) - set(tax_names))[:5]
+                raise FormatError(
+                    f"line 2: class names do not match the taxonomy "
+                    f"(missing {missing}, unexpected {extra})"
+                )
+            label_to_idx = taxonomy.leaf_order
+        # Each block is re-mapped onto taxonomy order once it has passed.
+        to_tax = np.array([column[n] for n in tax_names], dtype=np.int64)
+        same = names == tax_names
+
+        values, truths = [], []
+        rows, line = head[2:], 3
+        del head, block  # a block is held only while it is parsed
+        while rows is not None:
+            probs, truth = _parse_rows(rows, line, K, label_to_idx)
+            values.append(probs if same else probs[:, to_tax])
+            truths.append(truth)
+            line += len(rows)
+            del rows  # before the next block is read
+            rows = next(blocks, None)
+    probs = np.concatenate(values)
+    del values
     try:
-        return PredictionSet(ordered, truth, tax_names)
+        return PredictionSet(probs, np.concatenate(truths), tax_names)
     except ValueError:
-        fault = validate_rows(probs)  # the first fault in file order
+        # Every entry has passed, so a row sum is off: name the first
+        # one, summed in file order.
+        fault = validate_rows(probs[:, np.argsort(to_tax)])
         if fault is None:
             raise
-        raise located(*fault) from None
+        raise FormatError(f"line {fault[1] + 3}: row {fault[0]}") from None
 
 
 def _check_csv_names(names) -> None:
@@ -195,13 +272,21 @@ def _check_csv_names(names) -> None:
 
 
 def save_predictions(preds: PredictionSet, path) -> None:
-    _check_csv_names(preds.class_names)
-    rows = [PREDICTIONS_MAGIC, "truth," + ",".join(preds.class_names)]
-    # One row of Python floats at a time keeps the peak to the text.
-    for t, row in zip(preds.truth.tolist(), preds.probs):
-        vals = ",".join(map(repr, row.tolist()))
-        rows.append(f"{preds.class_names[t]},{vals}")
-    _write_bytes(path, ("\n".join(rows) + "\n").encode("utf-8"))
+    """Write the prediction CSV a block of about ``_BLOCK`` bytes of rows
+    at a time (a value's repr is about 20 characters)."""
+    names = preds.class_names
+    _check_csv_names(names)
+    step = max(1, _BLOCK // (20 * preds.K))
+    text = f"{PREDICTIONS_MAGIC}\ntruth,{','.join(names)}\n"
+    with _writer(path) as f:
+        # One pass even for no rows, so the header is always written.
+        for lo in range(0, max(preds.N, 1), step):
+            rows = zip(preds.truth[lo:lo + step].tolist(),
+                       preds.probs[lo:lo + step].tolist())
+            text += "".join(f"{names[t]},{','.join(map(repr, row))}\n"
+                            for t, row in rows)
+            f.write(text.encode("utf-8"))
+            text = ""
 
 
 # Report layouts: field -> kind, in dataclass field order. Kinds are
@@ -340,7 +425,7 @@ def cost_matrix_to_csv(C: CostMatrix) -> str:
     if C.class_names is None:
         raise ValueError("cost matrix carries no class names")
     e = np.asarray(C.entries)
-    if not np.all(e == np.floor(e)):
+    if e.dtype.kind not in "iu" and not np.all(e == np.floor(e)):
         raise ValueError("cost matrix entries are not integral")
     _check_csv_names(C.class_names)
     lines = ["," + ",".join(C.class_names)]

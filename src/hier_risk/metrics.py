@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .predictions import PredictionSet
-from .riskmin import Ranking, batch_apply, build_cost_matrix
+from .riskmin import (LIKELIHOOD, Ranking, _normalize_basis, batch_apply,
+                      build_cost_matrix)
 from .taxonomy import Taxonomy, node_height
 
 __all__ = [
@@ -149,5 +150,12 @@ def full_report(preds: PredictionSet, tax: Taxonomy, basis: str,
                 k_list=DEFAULT_K_LIST) -> MetricsReport:
     """All metrics from one ranking of the batch and one reduction."""
     ks = _sorted_ks(k_list, tax.K)
-    ranked = batch_apply(preds, build_cost_matrix(tax), basis)
-    return _reduce(ranked, preds.truth, tax, ks)
+    C = None
+    if _normalize_basis(basis) == LIKELIHOOD:
+        # The likelihood ranking reads no costs, only the class order.
+        if preds.class_names != [tax.names[leaf] for leaf in tax.leaves]:
+            raise ValueError("class order mismatch between predictions "
+                             "and cost matrix")
+    else:
+        C = build_cost_matrix(tax)
+    return _reduce(batch_apply(preds, C, basis), preds.truth, tax, ks)

@@ -51,9 +51,9 @@ class CostMatrix:
 
     Matrices built from a taxonomy carry integer LCA heights and the
     class names in taxonomy order. Raw arrays are accepted as a side
-    door for testing and are validated only for squareness, symmetry,
-    and the zero diagonal. ``entries`` is one read-only C-contiguous
-    table, the same one the risk kernel reads.
+    door for testing; they are copied and validated only for
+    squareness, symmetry, and the zero diagonal. ``entries`` is one
+    read-only C-contiguous table, the same one the risk kernel reads.
     """
 
     __slots__ = ("K", "entries", "class_names")
@@ -138,9 +138,16 @@ class Ranking:
 
 
 def build_cost_matrix(tax: Taxonomy) -> CostMatrix:
-    """Pairwise LCA-height matrix over the taxonomy's classes."""
-    return CostMatrix(tax.lca_matrix(),
-                      [tax.names[leaf] for leaf in tax.leaves])
+    """Pairwise LCA-height matrix over the taxonomy's classes.
+
+    The matrix adopts the taxonomy's cached read-only LCA table instead
+    of copying it; LCA heights are symmetric with a zero diagonal by
+    construction, so there is nothing to check.
+    """
+    C = CostMatrix.__new__(CostMatrix)
+    C.entries, C.K = tax.lca_matrix(), tax.K
+    C.class_names = [tax.names[leaf] for leaf in tax.leaves]
+    return C
 
 
 def _check_prob_vector(p, K: int | None = None) -> np.ndarray:

@@ -173,7 +173,8 @@ def gen_predictions(cfg: SynthConfig, tax: Taxonomy) -> PredictionSet:
         # fall back to uniform rather than dividing by zero.
         g[dead] = 1.0
         sums[dead] = float(cfg.K)
-    probs = g / sums[:, None]
+    g /= sums[:, None]  # in place: the same quotients as g / sums
+    probs = g
 
     if cfg.truth_mode == "argmax":
         truth = np.argmax(probs, axis=1) if cfg.N else np.zeros(0, np.int64)

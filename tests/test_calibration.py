@@ -88,6 +88,20 @@ def test_apply_temperature_validation():
         apply_temperature(np.array([0.5, 0.5]), 1.0)
 
 
+def test_in_place_temperature_gives_the_same_bits():
+    rng = np.random.Generator(np.random.PCG64(11))
+    rows = rng.dirichlet(np.full(7, 0.2), size=50)
+    rows[0, 3] = 0.0
+    for T in (0.3, 1.0, 2.9):
+        z = np.log(np.maximum(rows, 1e-12)) / T
+        z = z - z.max(axis=1, keepdims=True)
+        e = np.exp(z)
+        expected = e / e.sum(axis=1, keepdims=True)
+        before = rows.copy()
+        assert apply_temperature(rows, T).tobytes() == expected.tobytes()
+        assert np.array_equal(rows, before)
+
+
 def test_temperature_limits_and_zero_handling():
     row = np.array([[0.7, 0.3, 0.0]])
     flat = apply_temperature(row, 1e9)

@@ -182,6 +182,20 @@ def test_missing_file_exits_two(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_out_of_memory_exits_two(corpus, capsys, monkeypatch):
+    # An input too large for the host is an input error, not a crash.
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 7.45 GiB for an array")
+
+    monkeypatch.setattr("hier_risk.cli.load_predictions", exhausted)
+    code = main(["eval", "--hierarchy", corpus["hier"],
+                 "--predictions", corpus["preds"]])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory (Unable to allocate 7.45 GiB")
+    assert err.count("\n") == 1
+
+
 def test_unknown_subcommand_exits_two(capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()

@@ -49,6 +49,23 @@ def test_distance_at_k_validates_k():
         full_report(preds, tax, "crm", k_list=())
 
 
+def test_likelihood_report_builds_no_cost_matrix(monkeypatch):
+    # The likelihood ranking reads no costs; only the class order is
+    # checked against the taxonomy, with the same message as before.
+    tax, preds = synth(K=24, N=40)
+    expected = full_report(preds, tax, "likelihood")
+
+    def refuse(_):
+        raise AssertionError("cost matrix built")
+
+    monkeypatch.setattr("hier_risk.metrics.build_cost_matrix", refuse)
+    assert full_report(preds, tax, "likelihood") == expected
+    names = list(reversed(preds.class_names))
+    swapped = PredictionSet(preds.probs, preds.truth, names)
+    with pytest.raises(ValueError, match="class order mismatch"):
+        full_report(swapped, tax, "likelihood")
+
+
 def test_length_mismatch_rejected():
     tax, preds = synth(K=4, N=10, tree_mode="flat")
     ranked = batch_apply(preds, build_cost_matrix(tax), "crm")

@@ -62,6 +62,17 @@ def test_cost_matrix_entries_are_read_only():
     assert conditional_risk([0, 0, 1], C).tolist() == [2.0, 2.0, 0.0]
 
 
+def test_taxonomy_costs_adopt_the_cached_lca_table():
+    # No K x K copy: the matrix is the taxonomy's read-only table, while
+    # side-door arrays are still copied.
+    tax = parse_taxonomy("a\tp\nb\tp\nc\tr\np\tr\n")
+    C = build_cost_matrix(tax)
+    assert C.entries is tax.lca_matrix()
+    assert C.K == 3 and C.class_names == ["a", "b", "c"]
+    raw = np.array([[0, 1], [1, 0]])
+    assert not np.shares_memory(CostMatrix(raw).entries, raw)
+
+
 def test_scaled_returns_new_matrix():
     C = build_cost_matrix(TWO_BRANCH)
     D = C.scaled(2.5)
