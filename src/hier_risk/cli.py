@@ -19,10 +19,11 @@ import numpy as np
 from .calibration import (CalibrationReport, CONFIDENCE_SOURCES,
                           apply_temperature, bin_confidences, ece,
                           fit_temperature, mce)
+# cost_matrix_to_csv stays bound here: perfbench/trace_op.py rebinds it.
 from .dataio import (FormatError, calibration_report_to_json,
                      cost_matrix_to_csv, load_hierarchy, load_predictions,
-                     metrics_report_to_json, save_hierarchy,
-                     save_predictions)
+                     metrics_report_to_json, save_cost_matrix,
+                     save_hierarchy, save_predictions)
 from .metrics import DEFAULT_K_LIST, full_report
 from .predictions import PredictionSet
 from .riskmin import batch_apply, batch_crm_top1, build_cost_matrix
@@ -50,9 +51,11 @@ def _positive_int(text: str) -> int:
     return v
 
 
-def _cmd_build_costs(args) -> str:
-    tax = load_hierarchy(args.hierarchy)
-    return cost_matrix_to_csv(build_cost_matrix(tax))
+def _cmd_build_costs(args) -> None:
+    # The CSV goes out a block of rows at a time, never as one text.
+    C = build_cost_matrix(load_hierarchy(args.hierarchy))
+    sys.stdout.flush()
+    save_cost_matrix(C, args.out or sys.stdout.buffer)
 
 
 def _cmd_eval(args) -> str:
@@ -93,7 +96,7 @@ def _cmd_calibrate(args) -> str:
     bins_pre = bin_confidences(test, batch_apply(test, C, basis),
                                args.bins, args.source)
     post = PredictionSet(apply_temperature(test.probs, temperature),
-                         test.truth, test.class_names)
+                         test.truth, test.class_names, _adopt=True)
     del test
     bins_post = bin_confidences(post, batch_apply(post, C, basis),
                                 args.bins, args.source)

@@ -9,7 +9,8 @@ gzip by its magic bytes, and written through one, which compresses a
 path ending in ``.gz`` with a zeroed mtime so identical inputs give
 identical bytes. Prediction files stream through them a block of about
 1 MiB of whole lines at a time: loading holds one block of text and
-the float64 values, never the whole text.
+the float64 values, never the whole text. The cost-matrix CSV is
+written the same way, a block of rows at a time.
 
 Reports (``MetricsReport``, ``CalibrationReport``) go through one JSON
 emitter and one loader, both driven by the per-report field tables in
@@ -83,7 +84,11 @@ def _reader(path):
 @contextmanager
 def _writer(path):
     """Binary writer; a path ending in ``.gz`` is gzipped with a zeroed
-    mtime, so identical writes give identical bytes."""
+    mtime, so identical writes give identical bytes. An open binary
+    file (``sys.stdout.buffer``) is written as it is."""
+    if hasattr(path, "write"):
+        yield path
+        return
     with open(path, "wb") as f:
         if str(path).endswith(".gz"):
             with gzip.GzipFile(filename="", mode="wb", fileobj=f,
@@ -98,9 +103,18 @@ def _read_bytes(path) -> bytes:
         return f.read()
 
 
-def _write_bytes(path, data: bytes) -> None:
+def _write_lines(path, lines) -> None:
+    """Write text lines as UTF-8, about ``_BLOCK`` characters per write,
+    so no more than one block of text is held."""
     with _writer(path) as f:
-        f.write(data)
+        block, size = [], 0
+        for line in lines:
+            block.append(line)
+            size += len(line)
+            if size >= _BLOCK:
+                f.write("".join(block).encode("utf-8"))
+                block, size = [], 0
+        f.write("".join(block).encode("utf-8"))
 
 
 def load_hierarchy(path) -> Taxonomy:
@@ -109,11 +123,8 @@ def load_hierarchy(path) -> Taxonomy:
 
 def save_hierarchy(tax: Taxonomy, path) -> None:
     """Edge list ``child<TAB>parent`` in node-index order, root omitted."""
-    lines = [
-        f"{tax.names[i]}\t{tax.names[p]}"
-        for i, p in enumerate(tax.parent) if p >= 0
-    ]
-    _write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    _write_lines(path, (f"{tax.names[i]}\t{tax.names[p]}\n"
+                        for i, p in enumerate(tax.parent) if p >= 0))
 
 
 def _line_blocks(f):
@@ -255,7 +266,8 @@ def load_predictions(path, taxonomy: Taxonomy | None = None) -> PredictionSet:
     probs = np.concatenate(values)
     del values
     try:
-        return PredictionSet(probs, np.concatenate(truths), tax_names)
+        return PredictionSet(probs, np.concatenate(truths), tax_names,
+                             _adopt=True)
     except ValueError:
         # Every entry has passed, so a row sum is off: name the first
         # one, summed in file order.
@@ -277,16 +289,16 @@ def save_predictions(preds: PredictionSet, path) -> None:
     names = preds.class_names
     _check_csv_names(names)
     step = max(1, _BLOCK // (20 * preds.K))
-    text = f"{PREDICTIONS_MAGIC}\ntruth,{','.join(names)}\n"
-    with _writer(path) as f:
-        # One pass even for no rows, so the header is always written.
-        for lo in range(0, max(preds.N, 1), step):
+
+    def lines():
+        yield f"{PREDICTIONS_MAGIC}\ntruth,{','.join(names)}\n"
+        for lo in range(0, preds.N, step):
             rows = zip(preds.truth[lo:lo + step].tolist(),
                        preds.probs[lo:lo + step].tolist())
-            text += "".join(f"{names[t]},{','.join(map(repr, row))}\n"
-                            for t, row in rows)
-            f.write(text.encode("utf-8"))
-            text = ""
+            for t, row in rows:
+                yield f"{names[t]},{','.join(map(repr, row))}\n"
+
+    _write_lines(path, lines())
 
 
 # Report layouts: field -> kind, in dataclass field order. Kinds are
@@ -360,11 +372,11 @@ def calibration_report_to_json(r: CalibrationReport) -> str:
 
 
 def save_metrics_report(r: MetricsReport, path) -> None:
-    _write_bytes(path, metrics_report_to_json(r).encode("utf-8"))
+    _write_lines(path, [metrics_report_to_json(r)])
 
 
 def save_calibration_report(r: CalibrationReport, path) -> None:
-    _write_bytes(path, calibration_report_to_json(r).encode("utf-8"))
+    _write_lines(path, [calibration_report_to_json(r)])
 
 
 def _decode(kind: str, v, field: str):
@@ -420,27 +432,38 @@ def load_calibration_report(path) -> CalibrationReport:
     return _load_report(path, CalibrationReport, "calibration report")
 
 
-def cost_matrix_to_csv(C: CostMatrix) -> str:
-    """Audit export: class names on both axes, integer entries."""
+def _cost_csv_lines(C: CostMatrix):
+    """Check ``C`` for the audit CSV, then return its lines, one per row
+    after the header, as a generator."""
     if C.class_names is None:
         raise ValueError("cost matrix carries no class names")
-    e = np.asarray(C.entries)
+    e = C.entries
     if e.dtype.kind not in "iu" and not np.all(e == np.floor(e)):
         raise ValueError("cost matrix entries are not integral")
-    _check_csv_names(C.class_names)
-    lines = ["," + ",".join(C.class_names)]
-    for name, row in zip(C.class_names, e):
-        # A row holds few distinct heights: format each once. Per row,
-        # because one np.unique over the whole table costs K x K temps.
-        vals, inv = np.unique(row, return_inverse=True)
-        strs = [str(int(v)) for v in vals.tolist()]
-        lines.append(name + "," + ",".join(map(strs.__getitem__,
-                                               inv.tolist())))
-    return "\n".join(lines) + "\n"
+    names = C.class_names
+    _check_csv_names(names)
+
+    def lines():
+        yield "," + ",".join(names) + "\n"
+        for name, row in zip(names, e):
+            # A row holds few distinct heights: format each once. Per
+            # row, because one np.unique over the table costs K x K temps.
+            vals, inv = np.unique(row, return_inverse=True)
+            strs = [str(int(v)) for v in vals.tolist()]
+            yield f"{name},{','.join(map(strs.__getitem__, inv.tolist()))}\n"
+
+    return lines()
+
+
+def cost_matrix_to_csv(C: CostMatrix) -> str:
+    """Audit export: class names on both axes, integer entries."""
+    return "".join(_cost_csv_lines(C))
 
 
 def save_cost_matrix(C: CostMatrix, path) -> None:
-    _write_bytes(path, cost_matrix_to_csv(C).encode("utf-8"))
+    """The audit export, written a block of rows at a time to a path or
+    an open binary file."""
+    _write_lines(path, _cost_csv_lines(C))
 
 
 def reliability_to_csv(bins: CalibrationBins) -> str:

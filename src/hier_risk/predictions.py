@@ -38,7 +38,9 @@ class PredictionSet:
     :func:`validate_rows`, which renormalizes it; otherwise ValueError
     names the first bad entry in row-major order, else the first row
     whose sum is off. K >= 1 (collapsed label spaces can be a single
-    class even though taxonomies need two).
+    class even though taxonomies need two). With ``_adopt``, for this
+    package's loaders that build ``probs`` for the set alone, it is
+    taken without a copy and renormalized in place.
 
     Attributes:
         probs: (N, K) float64, validated and renormalized as above.
@@ -48,8 +50,9 @@ class PredictionSet:
 
     __slots__ = ("probs", "truth", "class_names", "N", "K")
 
-    def __init__(self, probs, truth, class_names):
-        probs = np.array(probs, dtype=np.float64, order="C", copy=True)
+    def __init__(self, probs, truth, class_names, *, _adopt=False):
+        probs = np.array(probs, dtype=np.float64, order="C",
+                         copy=None if _adopt else True)
         if probs.ndim != 2:
             raise ValueError("probs must be a 2-d array")
         truth = np.array(truth, dtype=np.int64, copy=True)

@@ -49,11 +49,12 @@ RISK = "risk-ascending"
 class CostMatrix:
     """K x K symmetric confusion-cost matrix with a zero diagonal.
 
-    Matrices built from a taxonomy carry integer LCA heights and the
-    class names in taxonomy order. Raw arrays are accepted as a side
-    door for testing; they are copied and validated only for
-    squareness, symmetry, and the zero diagonal. ``entries`` is one
-    read-only C-contiguous table, the same one the risk kernel reads.
+    Matrices built from a taxonomy carry the taxonomy's compact
+    unsigned table of LCA heights and the class names in taxonomy
+    order. Raw arrays are accepted as a side door for testing; they are
+    copied and validated only for squareness, symmetry, and the zero
+    diagonal. ``entries`` is one read-only C-contiguous table, the same
+    one the risk kernel reads.
     """
 
     __slots__ = ("K", "entries", "class_names")
@@ -82,8 +83,15 @@ class CostMatrix:
         self.class_names = class_names
 
     def scaled(self, factor: float) -> "CostMatrix":
-        """Side-door copy with every entry multiplied by ``factor``."""
-        return CostMatrix(self.entries * factor, self.class_names)
+        """Side-door copy with every entry multiplied by ``factor``.
+
+        Unsigned entries, such as a taxonomy's compact LCA table, are
+        widened to int64 first, so no factor wraps around.
+        """
+        e = self.entries
+        if e.dtype.kind == "u":
+            e = e.astype(np.int64)
+        return CostMatrix(e * factor, self.class_names)
 
     def __repr__(self) -> str:
         return f"CostMatrix(K={self.K})"
@@ -304,9 +312,14 @@ def batch_apply(preds: PredictionSet, C: CostMatrix | None,
             raise ValueError("risk basis requires a cost matrix")
         order, scores = _certified_rank(preds.probs, C.entries)
     else:
+        # A block of rows at a time, so no (N, K) negated copy exists.
         scores = preds.probs
-        order = np.argsort(-scores, axis=1, kind="stable")
-    return Ranking(order.astype(np.int64, copy=False), scores, b)
+        order = np.empty(scores.shape, dtype=np.int64)
+        step = max(1, _CHUNK // preds.K)
+        for lo in range(0, preds.N, step):
+            order[lo:lo + step] = np.argsort(-scores[lo:lo + step], axis=1,
+                                             kind="stable")
+    return Ranking(order, scores, b)
 
 
 def batch_crm_top1(preds: PredictionSet, C: CostMatrix,

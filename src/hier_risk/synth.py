@@ -180,15 +180,17 @@ def gen_predictions(cfg: SynthConfig, tax: Taxonomy) -> PredictionSet:
         truth = np.argmax(probs, axis=1) if cfg.N else np.zeros(0, np.int64)
     else:
         u = rng.random(cfg.N)
-        cum = np.cumsum(probs, axis=1)
-        truth = np.minimum((cum < u[:, None]).sum(axis=1), cfg.K - 1)
+        # No (N, K) cumulative table outlives this line, and the set
+        # adopts probs, so one (N, K) array is left.
+        truth = np.minimum(
+            (np.cumsum(probs, axis=1) < u[:, None]).sum(axis=1), cfg.K - 1)
         if cfg.truth_mode == "corrupted":
             mask = rng.random(cfg.N) < cfg.corrupt_rho
             replacement = rng.integers(0, cfg.K, size=cfg.N)
             truth = np.where(mask, replacement, truth)
 
     names = [tax.names[leaf] for leaf in tax.leaves]
-    return PredictionSet(probs, truth.astype(np.int64), names)
+    return PredictionSet(probs, truth.astype(np.int64), names, _adopt=True)
 
 
 def oracle_risk(p, C: CostMatrix) -> np.ndarray:

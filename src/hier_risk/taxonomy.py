@@ -131,24 +131,46 @@ class Taxonomy:
         return path
 
     def lca_matrix(self) -> np.ndarray:
-        """K x K int64 matrix of pairwise LCA heights over classes.
+        """K x K matrix of pairwise LCA heights over classes, cached.
 
-        Built once, with one vectorized K x K step per depth, and cached.
-        Entry [i, j] is the height of the deepest node that is an ancestor
-        of both leaf i and leaf j.
+        Entry [i, j] is the height of the deepest node that is an
+        ancestor of both leaf i and leaf j. The dtype is the smallest
+        unsigned one that holds the tree height (``np.min_scalar_type``:
+        uint8, so K**2 bytes, up to height 255; uint16 above). Callers
+        must cast before any arithmetic that can go negative or
+        overflow. The table is read-only and C-contiguous.
+
+        Leaves are numbered depth first, so every node owns one
+        contiguous range of leaf positions. A pair's LCA is the node
+        whose children split it, so each child's rows take the node's
+        height outside the child's own range: every entry is written
+        once, whatever the tree height. One gather then puts the classes
+        in sorted-name order.
         """
         if self._lca is None:
-            paths = [self.root_path(leaf) for leaf in self.leaves]
-            anc = np.full((self.K, max(map(len, paths))), -1, dtype=np.int64)
-            for i, path in enumerate(paths):
-                anc[i, :len(path)] = path
-            h = np.asarray(self.heights(), dtype=np.int64)
-            m = np.empty((self.K, self.K), dtype=np.int64)
-            # Every pair shares the root at depth 0; each deeper shared
-            # ancestor overwrites, leaving the lowest common one.
-            for col in anc.T:
-                shared = (col[:, None] == col) & (col >= 0)[:, None]
-                np.copyto(m, h[col][:, None], where=shared)
+            ch, h = self._children, self.heights()
+            lo, hi = [0] * self.n_nodes, [0] * self.n_nodes
+            preorder, stack, n = [], [self.root], 0
+            while stack:
+                u = stack.pop()
+                preorder.append(u)
+                if ch[u]:
+                    stack.extend(reversed(ch[u]))
+                else:
+                    lo[u], hi[u], n = n, n + 1, n + 1
+            for u in reversed(preorder):
+                if ch[u]:
+                    lo[u], hi[u] = lo[ch[u][0]], hi[ch[u][-1]]
+            m = np.zeros((self.K, self.K),
+                         dtype=np.min_scalar_type(h[self.root]))
+            for u in preorder:
+                for c in ch[u]:
+                    m[lo[c]:hi[c], lo[u]:lo[c]] = h[u]
+                    m[lo[c]:hi[c], hi[c]:hi[u]] = h[u]
+            # Rows, then columns: at most two K x K tables at once.
+            at = np.array([lo[leaf] for leaf in self.leaves])
+            m = m.take(at, axis=0)
+            m = m.take(at, axis=1)
             m.setflags(write=False)
             self._lca = m
         return self._lca

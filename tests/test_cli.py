@@ -231,6 +231,40 @@ def test_module_entry_point_runs(tmp_path, checkout_env):
     assert json.loads(run2.stdout)["n_mistakes"] >= 0
 
 
+# A lean launcher: a child's ru_maxrss counts what its parent had
+# resident when it forked, so the op is not started from pytest itself.
+LAUNCH = """
+import os, subprocess, sys
+p = subprocess.Popen(sys.argv[1:])
+_, status, usage = os.wait4(p.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in KiB on Linux")
+def test_wide_eval_peak_memory_stays_under_ceiling(tmp_path, checkout_env):
+    # K=9999 random tree (height 25): the uint8 LCA table is 100 MB, and
+    # building it holds at most two such tables. The int64 table peaked
+    # at about 1.1 GB here; the compact one at about 260 MB.
+    h, p = tmp_path / "h.tsv", tmp_path / "p.csv"
+    assert main(["simulate", "--seed", "1", "--classes", "9999",
+                 "--samples", "6", "--concentration", "0.3",
+                 "--tree-mode", "random-attachment",
+                 "--out-predictions", str(p), "--out-hierarchy", str(h)]) == 0
+    out = tmp_path / "m.json"
+    run = subprocess.run(
+        [sys.executable, "-c", LAUNCH, sys.executable, "-m", "hier_risk",
+         "eval", "--hierarchy", str(h), "--predictions", str(p),
+         "--basis", "crm", "--out", str(out)],
+        capture_output=True, text=True, env=checkout_env,
+    )
+    rc, maxrss_kib = map(int, run.stdout.split())
+    assert rc == 0, run.stderr
+    assert load_metrics_report(out).n_mistakes >= 0
+    assert maxrss_kib / 1024 < 400, maxrss_kib
+
+
 def test_out_file_equals_stdout(corpus, tmp_path, capsys):
     args = ["build-costs", "--hierarchy", corpus["hier"]]
     assert main(args) == 0

@@ -1,6 +1,9 @@
 import gzip
 import json
 import math
+import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from hier_risk import (CalibrationReport, CostMatrix, FormatError,
                        save_calibration_report, save_cost_matrix,
                        save_hierarchy, save_metrics_report,
                        save_predictions)
+from hier_risk import dataio
 from hier_risk.calibration import CalibrationBins
 from hier_risk.dataio import (PREDICTIONS_MAGIC, calibration_report_to_json,
                               cost_matrix_to_csv, histogram_to_csv,
@@ -400,6 +404,37 @@ def test_cost_matrix_csv_requirements(tmp_path):
     path = tmp_path / "c.csv"
     save_cost_matrix(C, path)
     assert path.read_text() == cost_matrix_to_csv(C)
+
+
+def test_cost_matrix_csv_streams_in_blocks(tmp_path, capsysbinary):
+    # Written a block of rows at a time, to a path, a .gz path or an
+    # open binary file, the bytes equal the one-shot text.
+    tax = gen_taxonomy(SynthConfig(seed=2, K=300, N=0,
+                                   tree_mode="random-attachment"))
+    C = build_cost_matrix(tax)
+    text = cost_matrix_to_csv(C)
+    with mock.patch.object(dataio, "_BLOCK", 5000):
+        save_cost_matrix(C, tmp_path / "c.csv")
+        save_cost_matrix(C, tmp_path / "c.csv.gz")
+        save_cost_matrix(C, sys.stdout.buffer)
+    assert (tmp_path / "c.csv").read_text() == text
+    assert gzip.decompress((tmp_path / "c.csv.gz").read_bytes()) \
+        == text.encode()
+    assert capsysbinary.readouterr().out == text.encode()
+
+
+def test_cost_matrix_save_holds_one_block_of_text(tmp_path):
+    tax = gen_taxonomy(SynthConfig(seed=0, K=2048, N=0, tree_mode="flat"))
+    C = build_cost_matrix(tax)  # the 4 MiB table is built before tracing
+    path = tmp_path / "c.csv"
+    tracemalloc.start()
+    try:
+        save_cost_matrix(C, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 8 * (1 << 20)
+    assert peak <= 4 * (1 << 20), peak
 
 
 def test_reliability_and_histogram_exports():

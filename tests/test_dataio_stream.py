@@ -200,7 +200,7 @@ def traced_peak(fn, *args):
 def test_loading_keeps_only_the_float_arrays_resident(tmp_path):
     # The whole-text reader peaked near 7.5 x probs.nbytes on this shape:
     # raw bytes, text and line list at once. A block at a time leaves the
-    # parsed values plus PredictionSet's validated copy.
+    # parsed blocks and their concatenation, which the set then adopts.
     tax, preds = synth_set(K=32, N=8000)
     path = tmp_path / "tall.csv"
     save_predictions(preds, path)

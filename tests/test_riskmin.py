@@ -1,6 +1,7 @@
 import hashlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,6 +79,21 @@ def test_scaled_returns_new_matrix():
     D = C.scaled(2.5)
     assert np.array_equal(D.entries, C.entries * 2.5)
     assert C.entries[0, 1] == 1
+    assert D.class_names == C.class_names
+
+
+@pytest.mark.parametrize("factor", [1000, -1, 100, 2.5, -0.75])
+def test_scaled_compact_table_matches_int64_scaling(factor):
+    # The taxonomy table is uint8; scaling it must give what the int64
+    # table gave, with no wrap-around and no overflow error.
+    tax = gen_taxonomy(SynthConfig(seed=4, K=50, N=0,
+                                   tree_mode="random-attachment"))
+    C = build_cost_matrix(tax)
+    assert C.entries.dtype == np.uint8
+    expected = C.entries.astype(np.int64) * factor
+    D = C.scaled(factor)
+    assert D.entries.dtype == expected.dtype
+    assert np.array_equal(D.entries, expected)
     assert D.class_names == C.class_names
 
 
@@ -230,6 +246,24 @@ def test_batch_apply_matches_single_sample_calls():
             assert batch[i].basis == basis
             assert np.array_equal(batch[i].permutation, single.permutation)
             assert np.array_equal(batch[i].scores, single.scores)
+
+
+def test_likelihood_batch_sorts_in_row_blocks():
+    # 200 000 rows of K=4 span 13 row blocks; ties (dyadic rows) go to
+    # the lowest index, and no (N, K) negated copy is made.
+    N = 200_000
+    probs = dyadic_rows(9, N, 4, denom_bits=3)
+    preds = PredictionSet(probs, np.zeros(N, dtype=np.int64), list("abcd"))
+    tracemalloc.start()
+    try:
+        ranked = batch_apply(preds, None, "likelihood")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ranked.permutation.dtype == np.int64
+    assert np.array_equal(ranked.permutation,
+                          np.argsort(-probs, axis=1, kind="stable"))
+    assert peak <= ranked.permutation.nbytes + 2 * (1 << 20), peak
 
 
 def test_batch_apply_accepts_full_basis_names():

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from hier_risk import (SynthConfig, batch_apply, build_cost_matrix,
-                       conditional_risk, gen_predictions, gen_taxonomy,
-                       lca_height, node_height, oracle_lca, oracle_risk,
-                       parse_taxonomy, top1_error)
+from hier_risk import (PredictionSet, SynthConfig, batch_apply,
+                       build_cost_matrix, conditional_risk, gen_predictions,
+                       gen_taxonomy, lca_height, node_height, oracle_lca,
+                       oracle_risk, parse_taxonomy, top1_error)
 
 
 def test_config_validation():
@@ -140,6 +142,33 @@ def test_self_sampled_truth_tracks_the_rows():
     preds = gen_predictions(cfg, gen_taxonomy(cfg))
     agree = np.mean(np.argmax(preds.probs, axis=1) == preds.truth)
     assert agree > 0.7
+
+
+@pytest.mark.parametrize("truth_mode", ["self-sampled", "corrupted"])
+def test_generated_rows_are_not_copied(truth_mode):
+    # The set takes the generated rows without a copy and no (N, K)
+    # cumulative table outlives the labels: the peak is the rows plus
+    # the one cumsum temporary and its comparison mask.
+    cfg = SynthConfig(seed=3, K=256, N=2000, truth_mode=truth_mode,
+                      corrupt_rho=0.3, tree_mode="balanced-binary")
+    tax = gen_taxonomy(cfg)
+    tracemalloc.start()
+    try:
+        preds = gen_predictions(cfg, tax)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    nbytes, MiB = preds.probs.nbytes, 1 << 20
+    assert peak <= 2.25 * nbytes + MiB, (peak, nbytes)
+    assert current <= nbytes + MiB, (current, nbytes)
+
+
+def test_public_constructor_still_copies():
+    probs = np.array([[0.25, 0.75], [0.5, 0.5]])
+    truth = np.array([0, 1])
+    preds = PredictionSet(probs, truth, ["a", "b"])
+    assert not np.shares_memory(preds.probs, probs)
+    assert not np.shares_memory(preds.truth, truth)
 
 
 def test_prediction_k_mismatch_rejected():

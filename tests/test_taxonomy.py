@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hier_risk import (SynthConfig, Taxonomy, TaxonomyError,
-                       collapse_to_depth, gen_taxonomy, lca_height,
-                       node_height, oracle_lca, parse_taxonomy,
+from hier_risk import (PredictionSet, SynthConfig, Taxonomy, TaxonomyError,
+                       batch_apply, collapse_to_depth, gen_taxonomy,
+                       lca_height, node_height, oracle_lca, parse_taxonomy,
                        shuffle_leaves)
+from hier_risk.metrics import _reduce
 
 CHAIN = "a\tm1\nb\tm1\nm1\tm2\nm2\troot\nc\troot\n"
 
@@ -130,6 +133,93 @@ def test_lca_matrix_is_an_ultrametric(seed, K):
     # Ultrametric: the two larger pairwise values in any triple tie.
     pair_max = np.maximum(m[:, :, None], m[None, :, :])
     assert np.all(m[:, None, :] <= pair_max)
+
+
+def reference_lca(tax):
+    """The table the old way, in int64: one K x K compare-and-copy per
+    depth column of the leaves' root paths, deeper ancestors last."""
+    paths = [tax.root_path(leaf) for leaf in tax.leaves]
+    anc = np.full((tax.K, max(map(len, paths))), -1, dtype=np.int64)
+    for i, path in enumerate(paths):
+        anc[i, :len(path)] = path
+    h = np.asarray(tax.heights(), dtype=np.int64)
+    m = np.empty((tax.K, tax.K), dtype=np.int64)
+    for col in anc.T:
+        shared = (col[:, None] == col) & (col >= 0)[:, None]
+        np.copyto(m, h[col][:, None], where=shared)
+    return m
+
+
+def caterpillar(height):
+    """A spine of ``height`` internal nodes, each with one leaf hanging
+    off it, and two leaves under the deepest: height + 1 classes. Leaf
+    names run against the spine, so class order is not DFS order."""
+    lines = [f"s{d}\ts{d - 1}" for d in range(1, height)]
+    lines += [f"leaf{height - d:04d}\ts{d}" for d in range(height)]
+    lines.append(f"leaf0000\ts{height - 1}")
+    return parse_taxonomy("\n".join(lines) + "\n")
+
+
+TABLE_TREES = {
+    "flat": gen_taxonomy(SynthConfig(seed=0, K=40, N=0, tree_mode="flat")),
+    "balanced-binary": gen_taxonomy(SynthConfig(seed=0, K=64, N=0,
+                                                tree_mode="balanced-binary")),
+    "random-attachment": random_tree(5, 300),
+    "random-attachment-small": random_tree(11, 7),
+    "unary-chain": parse_taxonomy(CHAIN),
+    "caterpillar": caterpillar(300),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_TREES))
+def test_lca_table_equals_the_int64_reference(name):
+    tax = TABLE_TREES[name]
+    m = tax.lca_matrix()
+    height = node_height(tax, tax.root)
+    assert m.dtype == np.min_scalar_type(height)
+    assert m.dtype == (np.uint16 if name == "caterpillar" else np.uint8)
+    assert m.flags.c_contiguous and not m.flags.writeable
+    assert m is tax.lca_matrix()
+    assert np.array_equal(m, reference_lca(tax))
+    rng = np.random.default_rng(len(name))
+    for i, j in rng.integers(0, tax.K, size=(40, 2)).tolist():
+        assert lca_height(tax, i, j) == oracle_lca(tax, i, j) == m[i, j]
+
+
+@pytest.mark.parametrize("name", ["random-attachment", "caterpillar"])
+def test_metric_reduction_reads_the_compact_table_exactly(name):
+    # Every (truth, ranked class) height the reduction sums must be the
+    # reference's, and the totals must not wrap in the compact dtype.
+    tax = TABLE_TREES[name]
+    rng = np.random.default_rng(3)
+    N = 50
+    probs = rng.dirichlet(np.full(tax.K, 0.3), size=N)
+    names = [tax.names[leaf] for leaf in tax.leaves]
+    preds = PredictionSet(probs, rng.integers(0, tax.K, N), names)
+    ranked = batch_apply(preds, None, "likelihood")
+    ref = reference_lca(tax)
+    D = ref[preds.truth[:, None], ranked.permutation[:, :20]]
+    r = _reduce(ranked, preds.truth, tax, (1, 20))
+    assert r.distance_at_k[20] == int(D.sum()) / (20 * N)
+    assert r.severity_over_all == int(D[:, 0].sum()) / N
+    assert sum(r.histogram.values()) == r.n_mistakes
+    for h, count in r.histogram.items():
+        assert count == int((D[:, 0] == h).sum())
+
+
+def test_lca_table_build_holds_at_most_two_tables():
+    # The block fill plus the gather into class order: two K x K uint8
+    # tables at the peak, no int64 or float64 one.
+    tax = random_tree(1, 1024)
+    tax.heights()
+    tracemalloc.start()
+    try:
+        m = tax.lca_matrix()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.dtype == np.uint8
+    assert peak <= 2 * m.nbytes + (1 << 18), peak
 
 
 def test_collapse_depth_validation():
