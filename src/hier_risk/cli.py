@@ -3,10 +3,10 @@
 Subcommands: build-costs, eval, calibrate, shuffle-eval, simulate.
 Exit codes: 0 success, 1 internal failure, 2 input or validation error
 (argparse usage errors and running out of memory included). The
-requested artifact goes to stdout unless --out is given; diagnostics go
-to stderr. Every subcommand is deterministic given identical files and
-flags, whatever the BLAS thread count. --threads is accepted and
-ignored; it stays because perfbench/run.py passes it.
+requested artifact goes to stdout or to --out, gzipped if that ends in
+.gz; diagnostics go to stderr. Every subcommand is deterministic given
+identical files and flags, whatever the BLAS thread count. --threads is
+accepted and ignored; it stays because perfbench/run.py passes it.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .calibration import (CalibrationReport, CONFIDENCE_SOURCES,
                           apply_temperature, bin_confidences, ece,
                           fit_temperature, mce)
 # cost_matrix_to_csv stays bound here: perfbench/trace_op.py rebinds it.
-from .dataio import (FormatError, calibration_report_to_json,
+from .dataio import (FormatError, _write_lines, calibration_report_to_json,
                      cost_matrix_to_csv, load_hierarchy, load_predictions,
                      metrics_report_to_json, save_cost_matrix,
                      save_hierarchy, save_predictions)
@@ -129,7 +129,6 @@ def _cmd_simulate(args) -> None:
     preds = gen_predictions(cfg, tax)
     save_hierarchy(tax, args.out_hierarchy)
     save_predictions(preds, args.out_predictions)
-    return None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -220,12 +219,8 @@ def main(argv=None) -> int:
     try:
         text = args.func(args)
         if text is not None:
-            out = getattr(args, "out", None)
-            if out:
-                with open(out, "wb") as f:
-                    f.write(text.encode("utf-8"))
-            else:
-                sys.stdout.write(text)
+            sys.stdout.flush()
+            _write_lines(args.out or sys.stdout.buffer, [text])
     except (TaxonomyError, FormatError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -7,10 +7,10 @@ followed by K probabilities. Floats are written with Python's shortest
 round-trip repr. Every file is read through one opener, which detects
 gzip by its magic bytes, and written through one, which compresses a
 path ending in ``.gz`` with a zeroed mtime so identical inputs give
-identical bytes. Prediction files stream through them a block of about
-1 MiB of whole lines at a time: loading holds one block of text and
-the float64 values, never the whole text. The cost-matrix CSV is
-written the same way, a block of rows at a time.
+identical bytes, reports included. Prediction files stream through them
+in blocks of rows of about 1 MiB of text: loading holds the float64
+values once plus one block of lines. The cost-matrix CSV is written the
+same way. Undecodable bytes are reported by line and byte.
 
 Reports (``MetricsReport``, ``CalibrationReport``) go through one JSON
 emitter and one loader, both driven by the per-report field tables in
@@ -31,6 +31,7 @@ import gzip
 import json
 import math
 from contextlib import contextmanager
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -66,7 +67,7 @@ class FormatError(ValueError):
     """Malformed file contents; the message carries line context."""
 
 
-_BLOCK = 1 << 20  # bytes per read, and about the bytes per write
+_BLOCK = 1 << 20  # about the bytes of text per block of rows, per write
 
 
 @contextmanager
@@ -98,9 +99,17 @@ def _writer(path):
             yield f
 
 
-def _read_bytes(path) -> bytes:
-    with _reader(path) as f:
-        return f.read()
+def _utf8(data: bytes, line: int = 1, codec: str = "utf-8") -> str:
+    """``data``, from line ``line`` of its file on, as text. A bad byte
+    is a FormatError naming its line and its 1-based place there,
+    counted after any byte-order mark that ``codec`` drops."""
+    try:
+        return data.decode(codec)
+    except UnicodeDecodeError as e:
+        at, lf = e.start, b"\n"
+        where = f"line {line + data.count(lf, 0, at)}"
+        raise FormatError(f"{where}: not UTF-8 ({e.reason} at byte "
+                          f"{at - data.rfind(lf, 0, at)})") from None
 
 
 def _write_lines(path, lines) -> None:
@@ -118,7 +127,8 @@ def _write_lines(path, lines) -> None:
 
 
 def load_hierarchy(path) -> Taxonomy:
-    return parse_taxonomy(_read_bytes(path).decode("utf-8"))
+    with _reader(path) as f:
+        return parse_taxonomy(_utf8(f.read()))
 
 
 def save_hierarchy(tax: Taxonomy, path) -> None:
@@ -127,31 +137,25 @@ def save_hierarchy(tax: Taxonomy, path) -> None:
                         for i, p in enumerate(tax.parent) if p >= 0))
 
 
-def _line_blocks(f):
-    """The file's lines, in lists of about ``_BLOCK`` bytes of whole lines.
-
-    UTF-8, LF or CRLF endings. Trailing blank lines are never yielded;
-    an interior one is held back until the next non-blank line shows it
-    is not trailing. Each block is dropped before the next is read, so
-    one block's text is resident at a time.
-    """
+def _lines(f):
+    """The lines of the binary file ``f`` as UTF-8 text, without their
+    LF, one CR before it, or a byte-order mark on line 1. A blank line
+    is held back until a later line shows it is not trailing, so
+    trailing blank lines are never yielded."""
     blanks = 0
-    while chunk := f.read(_BLOCK):
-        chunk += f.readline()  # on to the end of the chunk's last line
-        text = chunk.decode("utf-8")
-        del chunk
-        lines = [l[:-1] if l.endswith("\r") else l for l in text.split("\n")]
-        del text
-        if not lines[-1]:
-            lines.pop()  # the empty rest after the chunk's last newline
-        n = len(lines)
-        while n and not lines[n - 1]:
-            n -= 1
-        if n:
-            yield [""] * blanks + lines[:n]
-            blanks = 0
-        blanks += len(lines) - n
-        del lines
+    for n, raw in enumerate(f, 1):
+        line = _utf8(raw, n, "utf-8-sig" if n == 1 else "utf-8")
+        line = line.removesuffix("\n").removesuffix("\r")
+        if not line:
+            blanks += 1
+            continue
+        yield from repeat("", blanks)
+        blanks = 0
+        yield line
+
+
+def _rows_per_block(K: int) -> int:  # a value's repr is about 20 chars
+    return max(1, _BLOCK // (20 * K))
 
 
 def _parse_rows(lines, first: int, K: int, label_to_idx):
@@ -208,26 +212,21 @@ def load_predictions(path, taxonomy: Taxonomy | None = None) -> PredictionSet:
     file order is reported with its line: per data line the field count,
     the truth label, then each token left to right (it must parse, be
     finite and be >= 0); row sums only once every line has passed.
-    The file is read a block of lines at a time, and each block's
-    entries are checked before the next is read, so only the float64
-    values stay resident.
+    The file is read a block of lines at a time; each block is checked,
+    then appended to one buffer that the set adopts, so loading holds
+    the float64 values once plus one block of lines. Undecodable bytes
+    are reported by line.
     """
     with _reader(path) as f:
-        blocks = _line_blocks(f)
-        head = []
-        for block in blocks:
-            head += block
-            if len(head) >= 2:
-                break
-        if head and head[0].startswith("\ufeff"):
-            head[0] = head[0][1:]  # a byte-order mark
-        if not head or head[0] != PREDICTIONS_MAGIC:
+        lines = _lines(f)
+        if next(lines, None) != PREDICTIONS_MAGIC:
             raise FormatError(
                 f"line 1: expected format line {PREDICTIONS_MAGIC!r}"
             )
-        if len(head) < 2:
+        header = next(lines, None)
+        if header is None:
             raise FormatError("line 2: missing header row")
-        header = head[1].split(",")
+        header = header.split(",")
         if header[0] != "truth" or len(header) < 2:
             raise FormatError(
                 "line 2: header must read 'truth,<class1>,...,<classK>'"
@@ -249,25 +248,24 @@ def load_predictions(path, taxonomy: Taxonomy | None = None) -> PredictionSet:
                     f"(missing {missing}, unexpected {extra})"
                 )
             label_to_idx = taxonomy.leaf_order
-        # Each block is re-mapped onto taxonomy order once it has passed.
+        # Each block is re-mapped onto taxonomy order once it has passed,
+        # by take, whose copy is C-ordered as the byte buffer needs.
         to_tax = np.array([column[n] for n in tax_names], dtype=np.int64)
         same = names == tax_names
 
-        values, truths = [], []
-        rows, line = head[2:], 3
-        del head, block  # a block is held only while it is parsed
-        while rows is not None:
+        values, truths = bytearray(), bytearray()  # float64s, int64s
+        step, line = _rows_per_block(K), 3
+        while rows := list(islice(lines, step)):
             probs, truth = _parse_rows(rows, line, K, label_to_idx)
-            values.append(probs if same else probs[:, to_tax])
-            truths.append(truth)
+            probs = probs if same else probs.take(to_tax, axis=1)
+            values.extend(probs.view(np.uint8))
+            truths.extend(truth.view(np.uint8))
             line += len(rows)
-            del rows  # before the next block is read
-            rows = next(blocks, None)
-    probs = np.concatenate(values)
-    del values
+            del rows, probs  # before the next block is read
+    probs = np.frombuffer(values, dtype=np.float64).reshape(-1, K)
     try:
-        return PredictionSet(probs, np.concatenate(truths), tax_names,
-                             _adopt=True)
+        return PredictionSet(probs, np.frombuffer(truths, dtype=np.int64),
+                             tax_names, _adopt=True)
     except ValueError:
         # Every entry has passed, so a row sum is off: name the first
         # one, summed in file order.
@@ -284,11 +282,10 @@ def _check_csv_names(names) -> None:
 
 
 def save_predictions(preds: PredictionSet, path) -> None:
-    """Write the prediction CSV a block of about ``_BLOCK`` bytes of rows
-    at a time (a value's repr is about 20 characters)."""
+    """Write the prediction CSV a block of rows at a time."""
     names = preds.class_names
     _check_csv_names(names)
-    step = max(1, _BLOCK // (20 * preds.K))
+    step = _rows_per_block(preds.K)
 
     def lines():
         yield f"{PREDICTIONS_MAGIC}\ntruth,{','.join(names)}\n"
@@ -411,7 +408,8 @@ def _decode(kind: str, v, field: str):
 
 
 def _load_report(path, cls, what: str):
-    obj = json.loads(_read_bytes(path).decode("utf-8"))
+    with _reader(path) as f:
+        obj = json.loads(_utf8(f.read()))
     if not isinstance(obj, dict):
         raise FormatError(f"{what} must be a JSON object")
     layout = _LAYOUTS[cls]
@@ -432,6 +430,15 @@ def load_calibration_report(path) -> CalibrationReport:
     return _load_report(path, CalibrationReport, "calibration report")
 
 
+class _IntText(dict):
+    """Value -> ``str(int(value))``, each value formatted once: a cost
+    table holds few distinct values."""
+
+    def __missing__(self, v):
+        self[v] = text = str(int(v))
+        return text
+
+
 def _cost_csv_lines(C: CostMatrix):
     """Check ``C`` for the audit CSV, then return its lines, one per row
     after the header, as a generator."""
@@ -444,13 +451,10 @@ def _cost_csv_lines(C: CostMatrix):
     _check_csv_names(names)
 
     def lines():
+        text = _IntText()
         yield "," + ",".join(names) + "\n"
         for name, row in zip(names, e):
-            # A row holds few distinct heights: format each once. Per
-            # row, because one np.unique over the table costs K x K temps.
-            vals, inv = np.unique(row, return_inverse=True)
-            strs = [str(int(v)) for v in vals.tolist()]
-            yield f"{name},{','.join(map(strs.__getitem__, inv.tolist()))}\n"
+            yield f"{name},{','.join(map(text.__getitem__, row.tolist()))}\n"
 
     return lines()
 

@@ -1,3 +1,4 @@
+import gzip
 import importlib.util
 import json
 import subprocess
@@ -274,10 +275,55 @@ def test_out_file_equals_stdout(corpus, tmp_path, capsys):
     assert out.read_text() == streamed
 
 
+@pytest.mark.parametrize("command", ["eval", "calibrate", "shuffle-eval"])
+def test_report_out_gz_is_gzipped_stdout(corpus, tmp_path, capsys, command):
+    # Reports go through the writer every artifact uses, so a .gz path
+    # gets gzip, like build-costs and simulate give.
+    args = {
+        "eval": ["--hierarchy", corpus["hier"], "--k", "1,5"],
+        "calibrate": ["--val-predictions", corpus["val"]],
+        "shuffle-eval": ["--hierarchy", corpus["hier"], "--seed", "3",
+                         "--k", "1,5"],
+    }[command]
+    args = [command, "--predictions", corpus["preds"]] + args
+    assert main(args) == 0
+    streamed = capsys.readouterr().out.encode()
+    out = tmp_path / "r.json.gz"
+    assert main(args + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes()[:2] == b"\x1f\x8b"
+    assert gzip.decompress(out.read_bytes()) == streamed
+
+
 SHUFFLE_HIER = "a\tp1\nb\tp1\nc\tp2\nd\tp2\np1\troot\np2\troot\n"
 SHUFFLE_PREDS = (PREDICTIONS_MAGIC + "\ntruth,a,b,c,d\n"
                  "a,0.4,0.1,0.3,0.2\nc,0.4,0,0.3,0.3\n"
                  "d,0.05,0.05,0.5,0.4\nb,0.3,0.1,0.35,0.25\n")
+
+
+@pytest.mark.parametrize("gz", [False, True])
+def test_undecodable_bytes_are_named_by_line(tmp_path, capsys, gz):
+    # Line and 1-based byte of the first bad byte, exit 2, no traceback.
+    def write(path, data):
+        path.write_bytes(gzip.compress(data) if gz else data)
+
+    hier, preds = tmp_path / "h.tsv", tmp_path / "p.csv"
+    write(hier, SHUFFLE_HIER.encode() + b"e\xff\tp2\n")
+    assert main(["build-costs", "--hierarchy", str(hier)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: line 7: not UTF-8 (invalid start byte at byte 2)\n")
+    write(hier, SHUFFLE_HIER.encode())
+    write(preds, SHUFFLE_PREDS.encode() + b"b,0.25,0.25,0.2\xff5,0.25\n")
+    args = ["eval", "--hierarchy", str(hier), "--predictions", str(preds)]
+    assert main(args) == 2
+    assert capsys.readouterr() == (
+        "", "error: line 7: not UTF-8 (invalid start byte at byte 16)\n")
+    # On line 1 the byte is counted after a byte-order mark.
+    write(preds, b"\xef\xbb\xbf#hier\xe9" + SHUFFLE_PREDS[5:].encode())
+    assert main(args) == 2
+    assert capsys.readouterr() == (
+        "", "error: line 1: not UTF-8 (invalid continuation byte at "
+            "byte 6)\n")
 
 
 def test_shuffle_eval_json_frozen(tmp_path, capsys):

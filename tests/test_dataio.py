@@ -404,6 +404,13 @@ def test_cost_matrix_csv_requirements(tmp_path):
     path = tmp_path / "c.csv"
     save_cost_matrix(C, path)
     assert path.read_text() == cost_matrix_to_csv(C)
+    # Side-door tables: signed int64, integral float, and wide values.
+    heights = [[0, 1, 2, 2], [1, 0, 2, 2], [2, 2, 0, 1], [2, 2, 1, 0]]
+    for factor, scale in ((1, 1), (-1, -1), (2.0, 2), (10**12, 10**12)):
+        rows = [f"{n}," + ",".join(str(h * scale) for h in row) + "\n"
+                for n, row in zip("abcd", heights)]
+        assert cost_matrix_to_csv(C.scaled(factor)) == \
+            ",a,b,c,d\n" + "".join(rows)
 
 
 def test_cost_matrix_csv_streams_in_blocks(tmp_path, capsysbinary):
