@@ -161,8 +161,10 @@ def apply_temperature(probs, T: float) -> np.ndarray:
     return z
 
 
-def _mean_nll(probs: np.ndarray, truth: np.ndarray, T: float) -> float:
-    z = np.log(np.maximum(probs, PROB_FLOOR)) / T
+def _mean_nll(logp: np.ndarray, truth: np.ndarray, T: float) -> float:
+    """Mean NLL of the true class at temperature T, from the floored
+    log-probabilities, which every evaluation of the fit shares."""
+    z = logp / T
     m = z.max(axis=1)
     lse = m + np.log(np.exp(z - m[:, None]).sum(axis=1))
     return float(np.mean(lse - z[np.arange(z.shape[0]), truth]))
@@ -188,8 +190,10 @@ def fit_temperature(val: PredictionSet) -> float:
         )
         return 1.0
 
+    L = np.log(np.maximum(P, PROB_FLOOR))
+
     def f(logt: float) -> float:
-        return _mean_nll(P, t, math.exp(logt))
+        return _mean_nll(L, t, math.exp(logt))
 
     lo, hi = -LOG_T_BRACKET, LOG_T_BRACKET
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -206,7 +210,7 @@ def fit_temperature(val: PredictionSet) -> float:
             d = lo + invphi * (hi - lo)
             fd = f(d)
     T = math.exp(0.5 * (lo + hi))
-    if _mean_nll(P, t, 1.0) <= _mean_nll(P, t, T):
+    if _mean_nll(L, t, 1.0) <= _mean_nll(L, t, T):
         return 1.0
     return float(T)
 
@@ -233,5 +237,5 @@ def hierarchical_ece(preds: PredictionSet, tax: Taxonomy, depth: int,
     for g in range(M):
         summed[:, g] = preds.probs[:, col == g].sum(axis=1)
     collapsed = PredictionSet(summed, col[preds.truth], names)
-    ranked = batch_apply(collapsed, None, LIKELIHOOD)
+    ranked = batch_apply(collapsed, None, LIKELIHOOD, depth=1)
     return ece(bin_confidences(collapsed, ranked, B, "max-likelihood"))

@@ -92,13 +92,14 @@ def _cmd_calibrate(args) -> str:
     basis, C = "likelihood", None
     if args.source == "crm-selected":
         basis, C = "crm", build_cost_matrix(tax)
-    # One ranking is resident at a time: each is binned, then dropped.
-    bins_pre = bin_confidences(test, batch_apply(test, C, basis),
+    # Binning reads rank 0 only, and one ranking is resident at a time:
+    # each is binned, then dropped.
+    bins_pre = bin_confidences(test, batch_apply(test, C, basis, depth=1),
                                args.bins, args.source)
     post = PredictionSet(apply_temperature(test.probs, temperature),
                          test.truth, test.class_names, _adopt=True)
     del test
-    bins_post = bin_confidences(post, batch_apply(post, C, basis),
+    bins_post = bin_confidences(post, batch_apply(post, C, basis, depth=1),
                                 args.bins, args.source)
     report = CalibrationReport(
         ece_pre=ece(bins_pre), ece_post=ece(bins_post),

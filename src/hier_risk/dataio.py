@@ -215,7 +215,7 @@ def load_predictions(path, taxonomy: Taxonomy | None = None) -> PredictionSet:
     The file is read a block of lines at a time; each block is checked,
     then appended to one buffer that the set adopts, so loading holds
     the float64 values once plus one block of lines. Undecodable bytes
-    are reported by line.
+    are reported by line, after any fault on an earlier line.
     """
     with _reader(path) as f:
         lines = _lines(f)
@@ -254,14 +254,23 @@ def load_predictions(path, taxonomy: Taxonomy | None = None) -> PredictionSet:
         same = names == tax_names
 
         values, truths = bytearray(), bytearray()  # float64s, int64s
-        step, line = _rows_per_block(K), 3
-        while rows := list(islice(lines, step)):
+        step, line, cut = _rows_per_block(K), 3, None
+        while cut is None:
+            rows = []
+            try:
+                rows.extend(islice(lines, step))
+            except FormatError as e:
+                cut = e  # undecodable: the lines before it are checked first
+            if not rows:
+                break
             probs, truth = _parse_rows(rows, line, K, label_to_idx)
             probs = probs if same else probs.take(to_tax, axis=1)
             values.extend(probs.view(np.uint8))
             truths.extend(truth.view(np.uint8))
             line += len(rows)
             del rows, probs  # before the next block is read
+        if cut is not None:
+            raise cut
     probs = np.frombuffer(values, dtype=np.float64).reshape(-1, K)
     try:
         return PredictionSet(probs, np.frombuffer(truths, dtype=np.int64),

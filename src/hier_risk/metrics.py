@@ -74,6 +74,9 @@ def _as_truth(ranked: Ranking, truth) -> np.ndarray:
 
 def _reduce(ranked: Ranking, truth, tax: Taxonomy, k_list) -> MetricsReport:
     ks = _sorted_ks(k_list, tax.K)
+    if ks[-1] > ranked.permutation.shape[1]:
+        raise ValueError(f"k={ks[-1]} exceeds the ranking depth "
+                         f"{ranked.permutation.shape[1]}")
     t = _as_truth(ranked, truth)
     N = t.shape[0]
     height = node_height(tax, tax.root)
@@ -148,7 +151,8 @@ def metric_flaw_check(d_h, m, d_l, n) -> bool:
 
 def full_report(preds: PredictionSet, tax: Taxonomy, basis: str,
                 k_list=DEFAULT_K_LIST) -> MetricsReport:
-    """All metrics from one ranking of the batch and one reduction."""
+    """All metrics from one ranking of the batch, to the largest k, and
+    one reduction."""
     ks = _sorted_ks(k_list, tax.K)
     C = None
     if _normalize_basis(basis) == LIKELIHOOD:
@@ -158,4 +162,5 @@ def full_report(preds: PredictionSet, tax: Taxonomy, basis: str,
                              "and cost matrix")
     else:
         C = build_cost_matrix(tax)
-    return _reduce(batch_apply(preds, C, basis), preds.truth, tax, ks)
+    return _reduce(batch_apply(preds, C, basis, depth=ks[-1]), preds.truth,
+                   tax, ks)

@@ -18,6 +18,13 @@ permutation therefore equals the stable argsort of the kernel risks,
 ties to the lowest index, whatever the BLAS, its thread count or the
 batch split. Batch scores are the kernel risks on every row with a near
 tie and within delta of them elsewhere.
+
+A batch may be ranked to a depth m: its permutation is then the first
+m columns of the full certified permutation, bit for bit, and only the
+first m + 1 sorted estimates of a row are checked for near ties, so a
+near tie further down the row is never resolved. The scores stay the
+(N, K) class-indexed matrix, within delta of the kernel risks, and the
+kernel risks themselves on every row that was re-ranked.
 """
 
 from __future__ import annotations
@@ -104,12 +111,13 @@ def _check_basis(basis: str) -> None:
 
 @dataclass
 class RankedOutput:
-    """Full class ordering for one sample, best first.
+    """Class ordering for one sample, best first.
 
-    ``scores`` holds the values that induced the permutation
-    (likelihoods for the likelihood basis, risks for the risk basis),
-    indexed by class, not by rank. Arrays may be views into batch
-    results; treat them as read-only.
+    ``permutation`` holds every class, or the first ``depth`` of them
+    for a row of a depth-limited batch. ``scores`` holds the values that
+    induced the permutation (likelihoods for the likelihood basis, risks
+    for the risk basis) for every class, indexed by class, not by rank.
+    Arrays may be views into batch results; treat them as read-only.
     """
 
     permutation: np.ndarray
@@ -124,11 +132,12 @@ class RankedOutput:
 class Ranking:
     """Class orderings for a batch of samples, one row per sample.
 
-    ``permutation`` is (N, K) int64, best class first in each row;
-    ``scores`` is the (N, K) float64 matrix that induced it, indexed by
-    class, not by rank. One basis covers every row. ``len()``, indexing
-    and iteration give per-row ``RankedOutput`` views; treat all arrays
-    as read-only.
+    ``permutation`` is (N, depth) int64, best class first in each row:
+    the first ``depth`` columns of the full ranking, depth K unless the
+    batch was ranked shallower. ``scores`` is the (N, K) float64 matrix
+    that induced it, indexed by class, not by rank, whatever the depth.
+    One basis covers every row. ``len()``, indexing and iteration give
+    per-row ``RankedOutput`` views; treat all arrays as read-only.
     """
 
     permutation: np.ndarray
@@ -207,14 +216,48 @@ def _radius(P: np.ndarray, C: np.ndarray) -> np.ndarray:
         + n * 2.0 ** -1074
 
 
-def _certified_rank(P: np.ndarray, C: np.ndarray, approx=None):
-    """Permutation and scores of the exact ranking of every row of P.
+def _select(R: np.ndarray, m: int, tol=None):
+    """First m columns of the stable ascending argsort of each row of R,
+    and the rows where those columns are not certain.
+
+    When m + 1 < K, the rows are partitioned at m and only the first
+    m + 1 keys are sorted, by (key, class index). Every class left out
+    then has a key at or above the (m + 1)-th. With ``tol``, the keys
+    are estimates within tol / 2 of the true ones, and a row is
+    uncertain if two neighbours among its first m + 1 sorted keys lie
+    within tol of each other. Without it, the keys are exact, and a row
+    is uncertain only if its m-th and (m + 1)-th keys are equal, where
+    the partition may have kept the wrong one of equal keys.
+    """
+    if m + 1 >= R.shape[1]:
+        top = np.argsort(R, axis=1, kind="stable")
+        if tol is None:
+            return top[:, :m], []
+        keys = np.take_along_axis(R, top, axis=1)
+    else:
+        top = np.sort(np.argpartition(R, m, axis=1)[:, :m + 1], axis=1)
+        keys = np.take_along_axis(R, top, axis=1)
+        order = np.argsort(keys, axis=1, kind="stable")
+        top = np.take_along_axis(top, order, axis=1)
+        keys = np.take_along_axis(keys, order, axis=1)
+    if tol is None:
+        near = keys[:, m - 1] == keys[:, m]
+    else:
+        near = (np.diff(keys, axis=1) <= tol[:, None]).any(axis=1)
+    return top[:, :m], np.flatnonzero(near)
+
+
+def _certified_rank(P: np.ndarray, C: np.ndarray, approx=None,
+                    depth: int | None = None):
+    """Permutation to ``depth`` (default K) and scores of the exact
+    ranking of every row of P.
 
     ``approx`` replaces the BLAS product as the first estimate of the
     risks; any array within ``_radius`` of the kernel risks gives the
     same permutation. Work arrays stay O(_CHUNK) beyond the outputs.
     """
     N, K = P.shape
+    m = K if depth is None else depth
     step = max(1, _CHUNK // K)           # rows per block
     width = max(64, _CHUNK // K)         # cost columns per cast block
     if approx is not None:
@@ -228,18 +271,17 @@ def _certified_rank(P: np.ndarray, C: np.ndarray, approx=None):
             Cb = C[:, b:b + width].astype(np.float64)
             for lo in range(0, N, step):
                 scores[lo:lo + step, b:b + width] = P[lo:lo + step] @ Cb
-    perm = np.empty((N, K), dtype=np.int64)
+    perm = np.empty((N, m), dtype=np.int64)
     tol = 2.0 * _radius(P, C)
     for lo in range(0, N, step):
         R = scores[lo:lo + step]
-        order = np.argsort(R, axis=1, kind="stable")
-        gaps = np.diff(np.take_along_axis(R, order, axis=1), axis=1)
-        redo = np.flatnonzero((gaps <= tol[lo:lo + step, None]).any(axis=1))
-        if redo.size:
-            # A row whose sorted gaps all exceed 2 * delta is already in
-            # kernel order; every other row is sorted from its exact risks.
+        order, redo = _select(R, m, tol[lo:lo + step])
+        if len(redo):
+            # A row whose first m + 1 sorted estimates are all more than
+            # 2 * delta apart is certified to depth m; every other row is
+            # sorted whole from its exact risks.
             R[redo] = _exact_risks(P[lo:lo + step][redo], C)
-            order[redo] = np.argsort(R[redo], axis=1, kind="stable")
+            order[redo] = np.argsort(R[redo], axis=1, kind="stable")[:, :m]
         perm[lo:lo + step] = order
     return perm, scores
 
@@ -292,14 +334,16 @@ def _check_costs(preds: PredictionSet, C: CostMatrix) -> None:
 
 
 def batch_apply(preds: PredictionSet, C: CostMatrix | None,
-                basis: str) -> Ranking:
-    """Rank every sample under the chosen basis.
+                basis: str, depth: int | None = None) -> Ranking:
+    """Rank every sample under the chosen basis, to ``depth`` classes.
 
     Row i's permutation is bit-identical to the single-sample call on
-    row i. ``C`` may be None for the likelihood basis only. Likelihood
-    scores are the validated probabilities. Risk scores come from the
-    certified BLAS ranking (see the module docstring): a row with any
-    near tie, exact ties included, holds its exact kernel risks, and
+    row i, cut to its first ``depth`` classes; None, or any depth of K
+    or more, ranks every class. ``C`` may be None for the likelihood
+    basis only. Likelihood scores are the validated probabilities. Risk
+    scores come from the certified BLAS ranking (see the module
+    docstring): a row with a near tie among its first depth + 1
+    estimates, exact ties included, holds its exact kernel risks, and
     every other row is within delta of them. The metrics computed from
     the result are exact integer sums with one final division, so they
     do not depend on the order of the rows.
@@ -307,18 +351,25 @@ def batch_apply(preds: PredictionSet, C: CostMatrix | None,
     b = _normalize_basis(basis)
     if C is not None:
         _check_costs(preds, C)
+    m = preds.K if depth is None else min(int(depth), preds.K)
+    if m < 1:
+        raise ValueError(f"ranking depth must be >= 1, got {depth}")
     if b == RISK:
         if C is None:
             raise ValueError("risk basis requires a cost matrix")
-        order, scores = _certified_rank(preds.probs, C.entries)
+        order, scores = _certified_rank(preds.probs, C.entries, depth=m)
     else:
-        # A block of rows at a time, so no (N, K) negated copy exists.
+        # A block of rows at a time, so no (N, K) negated copy exists; a
+        # tie across the depth is sorted again whole.
         scores = preds.probs
-        order = np.empty(scores.shape, dtype=np.int64)
+        order = np.empty((preds.N, m), dtype=np.int64)
         step = max(1, _CHUNK // preds.K)
         for lo in range(0, preds.N, step):
-            order[lo:lo + step] = np.argsort(-scores[lo:lo + step], axis=1,
-                                             kind="stable")
+            R = -scores[lo:lo + step]
+            top, tied = _select(R, m)
+            if len(tied):
+                top[tied] = np.argsort(R[tied], axis=1, kind="stable")[:, :m]
+            order[lo:lo + step] = top
     return Ranking(order, scores, b)
 
 
@@ -326,10 +377,9 @@ def batch_crm_top1(preds: PredictionSet, C: CostMatrix,
                    threads: int = 1) -> np.ndarray:
     """Risk-minimizing top-1 index per row.
 
-    This is the rank-0 column of the certified ranking, so it equals
-    ``batch_apply(preds, C, "crm").permutation[:, 0]`` and the argmin of
-    the kernel risks. ``threads`` is ignored; it stays because
-    ``perfbench/trace_op.py`` passes it.
+    This is the rank-0 column of a depth-1 certified ranking, so it
+    equals ``batch_apply(preds, C, "crm").permutation[:, 0]`` and the
+    argmin of the kernel risks. ``threads`` is ignored; it stays
+    because ``perfbench/trace_op.py`` passes it.
     """
-    _check_costs(preds, C)
-    return _certified_rank(preds.probs, C.entries)[0][:, 0].copy()
+    return batch_apply(preds, C, RISK, depth=1).permutation[:, 0]

@@ -138,6 +138,17 @@ def test_fit_recovers_a_known_sharpening():
     assert mean_nll(q, truth, T) <= mean_nll(q, truth, 1.0)
 
 
+def test_fit_temperature_golden_value():
+    # Pins the fit bit for bit: the floored log is taken once and divided
+    # by T at each evaluation, which gives the same NLL bits as taking
+    # it at every evaluation.
+    cfg = SynthConfig(seed=7, K=32, N=2000, concentration=0.05,
+                      truth_mode="corrupted", corrupt_rho=0.2,
+                      tree_mode="balanced-binary")
+    val = gen_predictions(cfg, gen_taxonomy(cfg))
+    assert fit_temperature(val) == 4.608610861120865
+
+
 def test_fit_returns_exactly_one_when_one_is_optimal():
     # Truth frequencies match the predicted row exactly, so T = 1
     # minimizes the NLL; the guard then returns the exact float 1.0,

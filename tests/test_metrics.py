@@ -49,6 +49,21 @@ def test_distance_at_k_validates_k():
         full_report(preds, tax, "crm", k_list=())
 
 
+def test_shallow_ranking_is_not_averaged_over_fewer_ranks():
+    # A ranking cut to depth 3 serves k up to 3, each equal to the full
+    # ranking's value, and refuses k = 4 instead of averaging 3 columns.
+    tax, preds = synth(seed=3, K=8, N=60)
+    C = build_cost_matrix(tax)
+    full = batch_apply(preds, C, "crm")
+    shallow = batch_apply(preds, C, "crm", depth=3)
+    assert shallow.permutation.shape == (60, 3)
+    for k in (1, 2, 3):
+        assert (distance_at_k(shallow, preds.truth, tax, k)
+                == distance_at_k(full, preds.truth, tax, k))
+    with pytest.raises(ValueError, match="exceeds the ranking depth 3"):
+        distance_at_k(shallow, preds.truth, tax, 4)
+
+
 def test_likelihood_report_builds_no_cost_matrix(monkeypatch):
     # The likelihood ranking reads no costs; only the class order is
     # checked against the taxonomy, with the same message as before.

@@ -12,8 +12,9 @@ from hier_risk import (CostMatrix, PredictionSet, RankedOutput, Ranking,
                        build_cost_matrix, conditional_risk, crm_predict,
                        crm_rerank, gen_predictions, gen_taxonomy,
                        likelihood_rank, parse_taxonomy)
+from hier_risk import riskmin
 from hier_risk.riskmin import (LIKELIHOOD, RISK, _certified_rank,
-                               _check_prob_vector, _radius)
+                               _check_prob_vector, _exact_risks, _radius)
 
 TWO_BRANCH = parse_taxonomy(
     "a\tp1\nb\tp1\nc\tp2\nd\tp2\np1\troot\np2\troot\n")
@@ -402,6 +403,88 @@ def test_certificate_alone_gives_exact_order():
     assert np.array_equal(perm, perms)
     assert (np.diff(np.take_along_axis(scores, perm, axis=1), axis=1)
             >= 0).all()
+    # The same holds at every depth: the certificate checks only the
+    # first m + 1 estimates, yet must give the full order's prefix.
+    for m in range(1, 65):
+        perm, scores = _certified_rank(preds.probs, C.entries, approx,
+                                       depth=m)
+        assert np.array_equal(perm, perms[:, :m]), m
+        assert (np.diff(np.take_along_axis(scores, perm, axis=1), axis=1)
+                >= 0).all()
+
+
+def planted_rows(rng, K, n):
+    # Random rows with 2 to 4 classes set to the same mass.
+    rows = rng.dirichlet(np.ones(K), size=n)
+    for row in rows:
+        tied = rng.choice(K, size=min(K, int(rng.integers(2, 5))),
+                          replace=False)
+        row[tied] = row[tied].mean()
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), K=st.integers(2, 48),
+       tree_mode=st.sampled_from(["flat", "balanced-binary",
+                                  "random-attachment"]),
+       denom_bits=st.integers(2, 12))
+def test_depth_m_ranking_is_the_prefix_of_the_full_one(seed, K, tree_mode,
+                                                       denom_bits):
+    # Tie-heavy rows: coarse dyadic rows (many equal counts) and planted
+    # equal masses. At every depth m, in both bases, the permutation is
+    # the full ranking's first m columns and the scores keep their
+    # (N, K) class-indexed meaning.
+    if tree_mode == "balanced-binary":
+        K = 1 << (K.bit_length() - 1)
+    tax = gen_taxonomy(SynthConfig(seed=seed, K=K, N=0, tree_mode=tree_mode))
+    C = build_cost_matrix(tax)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    raw = np.vstack([dyadic_rows(seed, 6, K, denom_bits),
+                     planted_rows(rng, K, 6)])
+    preds = PredictionSet(raw, np.zeros(len(raw), dtype=np.int64),
+                          C.class_names)
+    exact = _exact_risks(preds.probs, C.entries)
+    delta = _radius(preds.probs, C.entries)[:, None]
+    for basis in ("crm", "likelihood"):
+        full = batch_apply(preds, C, basis)
+        for m in range(1, K + 1):
+            ranked = batch_apply(preds, C, basis, depth=m)
+            assert np.array_equal(ranked.permutation,
+                                  full.permutation[:, :m]), (basis, m)
+            if basis == "crm":
+                assert (np.abs(ranked.scores - exact) <= delta).all()
+            else:
+                assert ranked.scores is preds.probs
+        assert batch_apply(preds, C, basis, depth=K + 5).permutation.shape \
+            == (len(raw), K)
+        with pytest.raises(ValueError, match="depth"):
+            batch_apply(preds, C, basis, depth=0)
+
+
+def test_depth_one_on_the_tall_shape_reaches_no_exact_risks(monkeypatch):
+    # Near ties on this shape sit below rank 0, so a depth-1 ranking (the
+    # one calibrate and the Theorem-1 check read) certifies every row
+    # from the BLAS product, while the full ranking re-ranks many rows.
+    cfg = SynthConfig(seed=1, K=32, N=20000, concentration=0.05,
+                      truth_mode="corrupted", corrupt_rho=0.2,
+                      tree_mode="balanced-binary")
+    tax = gen_taxonomy(cfg)
+    preds = gen_predictions(cfg, tax)
+    C = build_cost_matrix(tax)
+    rows = []
+
+    def counting(P, costs):
+        rows.append(P.shape[0])
+        return _exact_risks(P, costs)
+
+    monkeypatch.setattr(riskmin, "_exact_risks", counting)
+    top = batch_apply(preds, C, "crm", depth=1)
+    top1 = batch_crm_top1(preds, C)
+    assert sum(rows) == 0
+    full = batch_apply(preds, C, "crm")
+    assert sum(rows) > preds.N // 4
+    assert np.array_equal(top.permutation[:, 0], full.permutation[:, 0])
+    assert np.array_equal(top1, full.permutation[:, 0])
 
 
 RANK_IN_CHILD = """
