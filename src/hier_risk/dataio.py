@@ -27,6 +27,7 @@ int keys must read as the emitter writes them (``str(int(k))``).
 
 from __future__ import annotations
 
+import codecs
 import gzip
 import json
 import math
@@ -141,17 +142,19 @@ def _lines(f):
     """The lines of the binary file ``f`` as UTF-8 text, without their
     LF, one CR before it, or a byte-order mark on line 1. A blank line
     is held back until a later line shows it is not trailing, so
-    trailing blank lines are never yielded."""
+    trailing blank lines are never yielded. Held blank lines are
+    yielded before the next line is decoded, so a fault on a blank line
+    comes before an undecodable byte further down."""
     blanks = 0
     for n, raw in enumerate(f, 1):
-        line = _utf8(raw, n, "utf-8-sig" if n == 1 else "utf-8")
-        line = line.removesuffix("\n").removesuffix("\r")
-        if not line:
+        text = raw.removesuffix(b"\n").removesuffix(b"\r")
+        if not (text.removeprefix(codecs.BOM_UTF8) if n == 1 else text):
             blanks += 1
             continue
         yield from repeat("", blanks)
         blanks = 0
-        yield line
+        line = _utf8(raw, n, "utf-8-sig" if n == 1 else "utf-8")
+        yield line.removesuffix("\n").removesuffix("\r")
 
 
 def _rows_per_block(K: int) -> int:  # a value's repr is about 20 chars

@@ -216,37 +216,6 @@ def _radius(P: np.ndarray, C: np.ndarray) -> np.ndarray:
         + n * 2.0 ** -1074
 
 
-def _select(R: np.ndarray, m: int, tol=None):
-    """First m columns of the stable ascending argsort of each row of R,
-    and the rows where those columns are not certain.
-
-    When m + 1 < K, the rows are partitioned at m and only the first
-    m + 1 keys are sorted, by (key, class index). Every class left out
-    then has a key at or above the (m + 1)-th. With ``tol``, the keys
-    are estimates within tol / 2 of the true ones, and a row is
-    uncertain if two neighbours among its first m + 1 sorted keys lie
-    within tol of each other. Without it, the keys are exact, and a row
-    is uncertain only if its m-th and (m + 1)-th keys are equal, where
-    the partition may have kept the wrong one of equal keys.
-    """
-    if m + 1 >= R.shape[1]:
-        top = np.argsort(R, axis=1, kind="stable")
-        if tol is None:
-            return top[:, :m], []
-        keys = np.take_along_axis(R, top, axis=1)
-    else:
-        top = np.sort(np.argpartition(R, m, axis=1)[:, :m + 1], axis=1)
-        keys = np.take_along_axis(R, top, axis=1)
-        order = np.argsort(keys, axis=1, kind="stable")
-        top = np.take_along_axis(top, order, axis=1)
-        keys = np.take_along_axis(keys, order, axis=1)
-    if tol is None:
-        near = keys[:, m - 1] == keys[:, m]
-    else:
-        near = (np.diff(keys, axis=1) <= tol[:, None]).any(axis=1)
-    return top[:, :m], np.flatnonzero(near)
-
-
 def _certified_rank(P: np.ndarray, C: np.ndarray, approx=None,
                     depth: int | None = None):
     """Permutation to ``depth`` (default K) and scores of the exact
@@ -275,14 +244,17 @@ def _certified_rank(P: np.ndarray, C: np.ndarray, approx=None,
     tol = 2.0 * _radius(P, C)
     for lo in range(0, N, step):
         R = scores[lo:lo + step]
-        order, redo = _select(R, m, tol[lo:lo + step])
-        if len(redo):
+        order = np.argsort(R, axis=1, kind="stable")
+        gaps = np.diff(np.take_along_axis(R, order[:, :m + 1], axis=1), axis=1)
+        redo = np.flatnonzero((gaps <= tol[lo:lo + step, None]).any(axis=1))
+        if redo.size:
             # A row whose first m + 1 sorted estimates are all more than
-            # 2 * delta apart is certified to depth m; every other row is
-            # sorted whole from its exact risks.
+            # 2 * delta apart is in kernel order to depth m, since every
+            # later estimate is at or above the (m + 1)-th; every other
+            # row is sorted from its exact risks.
             R[redo] = _exact_risks(P[lo:lo + step][redo], C)
-            order[redo] = np.argsort(R[redo], axis=1, kind="stable")[:, :m]
-        perm[lo:lo + step] = order
+            order[redo] = np.argsort(R[redo], axis=1, kind="stable")
+        perm[lo:lo + step] = order[:, :m]
     return perm, scores
 
 
@@ -359,17 +331,13 @@ def batch_apply(preds: PredictionSet, C: CostMatrix | None,
             raise ValueError("risk basis requires a cost matrix")
         order, scores = _certified_rank(preds.probs, C.entries, depth=m)
     else:
-        # A block of rows at a time, so no (N, K) negated copy exists; a
-        # tie across the depth is sorted again whole.
+        # A block of rows at a time, so no (N, K) negated copy exists.
         scores = preds.probs
         order = np.empty((preds.N, m), dtype=np.int64)
         step = max(1, _CHUNK // preds.K)
         for lo in range(0, preds.N, step):
-            R = -scores[lo:lo + step]
-            top, tied = _select(R, m)
-            if len(tied):
-                top[tied] = np.argsort(R[tied], axis=1, kind="stable")[:, :m]
-            order[lo:lo + step] = top
+            order[lo:lo + step] = np.argsort(-scores[lo:lo + step], axis=1,
+                                             kind="stable")[:, :m]
     return Ranking(order, scores, b)
 
 

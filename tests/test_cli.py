@@ -326,18 +326,23 @@ def test_undecodable_bytes_are_named_by_line(tmp_path, capsys, gz):
             "byte 6)\n")
 
 
-def test_earlier_fault_wins_over_undecodable_bytes(tmp_path, capsys):
-    # Line 3's bad number comes first in file order, so it is named even
-    # though line 4, read in the same block, cannot be decoded.
+@pytest.mark.parametrize("line3, fault", [
+    (b"a,0.5,oops", "invalid number 'oops'"),
+    (b"", "expected 3 fields, got 1"),
+])
+def test_earlier_fault_wins_over_undecodable_bytes(tmp_path, capsys, line3,
+                                                   fault):
+    # Line 3's fault, a bad number or an interior blank line, comes first
+    # in file order, so it is named even though line 4, read in the same
+    # block, cannot be decoded.
     hier, preds = tmp_path / "h.tsv", tmp_path / "p.csv"
     hier.write_text("a\tr\nb\tr\n")
     preds.write_bytes(PREDICTIONS_MAGIC.encode() + b"\ntruth,a,b\n"
-                      b"a,0.5,oops\nb,0.5,0.\xff5\n")
+                      + line3 + b"\nb,0.5,0.\xff5\n")
     for args in (["eval", "--hierarchy", str(hier)],
                  ["calibrate", "--val-predictions", str(preds)]):
         assert main([*args, "--predictions", str(preds)]) == 2
-        assert capsys.readouterr() == (
-            "", "error: line 3: invalid number 'oops'\n")
+        assert capsys.readouterr() == ("", f"error: line 3: {fault}\n")
 
 
 def test_shuffle_eval_json_frozen(tmp_path, capsys):

@@ -49,9 +49,10 @@ def test_distance_at_k_validates_k():
         full_report(preds, tax, "crm", k_list=())
 
 
-def test_shallow_ranking_is_not_averaged_over_fewer_ranks():
+def test_shallow_ranking_refuses_a_deeper_k_by_name():
     # A ranking cut to depth 3 serves k up to 3, each equal to the full
-    # ranking's value, and refuses k = 4 instead of averaging 3 columns.
+    # ranking's value; k = 4 is a ValueError naming the depth, not the
+    # IndexError the missing column would otherwise raise.
     tax, preds = synth(seed=3, K=8, N=60)
     C = build_cost_matrix(tax)
     full = batch_apply(preds, C, "crm")
