@@ -26,6 +26,7 @@ from .riskmin import LIKELIHOOD, RISK, Ranking, batch_apply
 from .taxonomy import Taxonomy, collapse_to_depth
 
 __all__ = [
+    "BinTally",
     "CalibrationBins",
     "CalibrationReport",
     "bin_confidences",
@@ -77,6 +78,54 @@ class CalibrationReport:
     confidence_source: str
 
 
+class BinTally:
+    """Running per-bin totals of the confidences of blocks of rows.
+
+    Blocks are added in order, and each confidence is added onto its
+    bin's running sum in that order, so the bins hold the same bits
+    whatever the block split. ``source`` names where the rankings come
+    from and must agree with each ranking's basis.
+    """
+
+    def __init__(self, B: int, source: str = "max-likelihood"):
+        B = int(B)
+        if B < 1:
+            raise ValueError(f"bin count must be >= 1, got {B}")
+        self.basis = CONFIDENCE_SOURCES.get(source)
+        if self.basis is None:
+            raise ValueError(f"unknown confidence source {source!r}")
+        self.B, self.source, self.n = B, source, 0
+        self.counts = np.zeros(B, dtype=np.int64)
+        self.hits = np.zeros(B, dtype=np.int64)
+        self.csum = np.zeros(B)
+
+    def add(self, preds: PredictionSet, ranked: Ranking) -> None:
+        if len(ranked) != preds.N:
+            raise ValueError("ranked outputs and predictions differ in length")
+        if ranked.basis != self.basis:
+            raise ValueError(f"ranking basis {ranked.basis!r} does not match "
+                             f"source {self.source!r}")
+        top = ranked.permutation[:, 0]
+        conf = preds.probs[np.arange(preds.N), top]
+        idx = np.ceil(conf * self.B).astype(np.int64) - 1
+        np.clip(idx, 0, self.B - 1, out=idx)
+        self.counts += np.bincount(idx, minlength=self.B)
+        self.hits += np.bincount(idx[top == preds.truth], minlength=self.B)
+        np.add.at(self.csum, idx, conf)
+        self.n += preds.N
+
+    def bins(self) -> CalibrationBins:
+        counts, B = self.counts, self.B
+        mean_conf = np.zeros(B)
+        accuracy = np.zeros(B)
+        nz = counts > 0
+        mean_conf[nz] = self.csum[nz] / counts[nz]
+        accuracy[nz] = self.hits[nz] / counts[nz]
+        return CalibrationBins(B=B, edges=np.linspace(0.0, 1.0, B + 1),
+                               counts=counts.copy(), mean_conf=mean_conf,
+                               accuracy=accuracy, n=self.n)
+
+
 def bin_confidences(preds: PredictionSet, ranked: Ranking,
                     B: int, source: str = "max-likelihood") -> CalibrationBins:
     """Histogram per-sample confidences into B equal-width bins.
@@ -84,46 +133,11 @@ def bin_confidences(preds: PredictionSet, ranked: Ranking,
     A sample's confidence is the probability its row assigns to the
     first-ranked class; correctness is that class matching the truth.
     ``source`` names where the ranking came from and must agree with the
-    ranking's basis.
+    ranking's basis. This is a :class:`BinTally` of one block.
     """
-    B = int(B)
-    if B < 1:
-        raise ValueError(f"bin count must be >= 1, got {B}")
-    basis = CONFIDENCE_SOURCES.get(source)
-    if basis is None:
-        raise ValueError(f"unknown confidence source {source!r}")
-    if len(ranked) != preds.N:
-        raise ValueError("ranked outputs and predictions differ in length")
-    if ranked.basis != basis:
-        raise ValueError(
-            f"ranking basis {ranked.basis!r} does not match source {source!r}"
-        )
-    if preds.N:
-        top = ranked.permutation[:, 0]
-        conf = preds.probs[np.arange(preds.N), top]
-        correct = (top == preds.truth).astype(np.float64)
-        idx = np.ceil(conf * B).astype(np.int64) - 1
-        np.clip(idx, 0, B - 1, out=idx)
-        counts = np.bincount(idx, minlength=B)
-        csum = np.bincount(idx, weights=conf, minlength=B)
-        hits = np.bincount(idx, weights=correct, minlength=B)
-    else:
-        counts = np.zeros(B, dtype=np.int64)
-        csum = np.zeros(B)
-        hits = np.zeros(B)
-    mean_conf = np.zeros(B)
-    accuracy = np.zeros(B)
-    nz = counts > 0
-    mean_conf[nz] = csum[nz] / counts[nz]
-    accuracy[nz] = hits[nz] / counts[nz]
-    return CalibrationBins(
-        B=B,
-        edges=np.linspace(0.0, 1.0, B + 1),
-        counts=counts.astype(np.int64),
-        mean_conf=mean_conf,
-        accuracy=accuracy,
-        n=preds.N,
-    )
+    tally = BinTally(B, source)
+    tally.add(preds, ranked)
+    return tally.bins()
 
 
 def ece(bins: CalibrationBins) -> float:

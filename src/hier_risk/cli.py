@@ -7,26 +7,30 @@ requested artifact goes to stdout or to --out, gzipped if that ends in
 .gz; diagnostics go to stderr. Every subcommand is deterministic given
 identical files and flags, whatever the BLAS thread count. --threads is
 accepted and ignored; it stays because perfbench/run.py passes it.
+
+eval, calibrate and shuffle-eval rank and reduce one block of rows at a
+time: eval and shuffle-eval hold one block plus integer tallies,
+calibrate the validation split plus one test block and per-bin totals.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from itertools import chain
 
-import numpy as np
-
-from .calibration import (CalibrationReport, CONFIDENCE_SOURCES,
+# bin_confidences, cost_matrix_to_csv and full_report are not called here;
+# they stay bound because perfbench/trace_op.py rebinds them.
+from .calibration import (BinTally, CalibrationReport, CONFIDENCE_SOURCES,
                           apply_temperature, bin_confidences, ece,
                           fit_temperature, mce)
-# cost_matrix_to_csv stays bound here: perfbench/trace_op.py rebinds it.
 from .dataio import (FormatError, _write_lines, calibration_report_to_json,
                      cost_matrix_to_csv, load_hierarchy, load_predictions,
-                     metrics_report_to_json, save_cost_matrix,
-                     save_hierarchy, save_predictions)
-from .metrics import DEFAULT_K_LIST, full_report
+                     metrics_report_to_json, read_predictions,
+                     save_cost_matrix, save_hierarchy, save_predictions)
+from .metrics import DEFAULT_K_LIST, Evaluation, full_report
 from .predictions import PredictionSet
-from .riskmin import batch_apply, batch_crm_top1, build_cost_matrix
+from .riskmin import batch_apply, build_cost_matrix
 from .synth import SynthConfig, TREE_MODES, TRUTH_MODES, gen_predictions, \
     gen_taxonomy
 from .taxonomy import TaxonomyError, shuffle_leaves
@@ -58,20 +62,35 @@ def _cmd_build_costs(args) -> None:
     save_cost_matrix(C, args.out or sys.stdout.buffer)
 
 
+def _checked(blocks, error: Exception) -> Exception:
+    """``error``, once every row of ``blocks`` has been checked: a fault
+    in the file is named first, as when files were read whole. Flags,
+    headers and tables are checked or built before any row is ranked."""
+    for _ in blocks:
+        pass
+    return error
+
+
 def _cmd_eval(args) -> str:
     tax = load_hierarchy(args.hierarchy)
-    preds = load_predictions(args.predictions, tax)
-    report = full_report(preds, tax, args.basis, args.k)
-    if args.theorem1_fastpath and args.basis == "crm":
-        # Theorem 1: on taxonomy costs a class holding more than half the
-        # mass is the risk minimizer, so the certified top-1 must be the
-        # argmax on every such row.
-        P = preds.probs
-        top1 = batch_crm_top1(preds, build_cost_matrix(tax))
-        if ((top1 != P.argmax(axis=1)) & (P.max(axis=1) > 0.5)).any():
-            raise RuntimeError("Theorem 1 violated: a class with more than "
-                               "half the mass is not the CRM top-1")
-    return metrics_report_to_json(report)
+    _, blocks = read_predictions(args.predictions, tax)
+    try:
+        ev = Evaluation(tax, args.basis, args.k)
+    except (ValueError, MemoryError) as e:
+        raise _checked(blocks, e)
+    check = args.theorem1_fastpath and args.basis == "crm"
+    for block in blocks:
+        ranked = ev.add(block)
+        if check:
+            # Theorem 1: on taxonomy costs a class holding more than half
+            # the mass is the risk minimizer, so the certified top-1 must
+            # be the argmax on every such row.
+            P = block.probs
+            if ((ranked.permutation[:, 0] != P.argmax(axis=1))
+                    & (P.max(axis=1) > 0.5)).any():
+                raise RuntimeError("Theorem 1 violated: a class with more "
+                                   "than half the mass is not the CRM top-1")
+    return metrics_report_to_json(ev.report())
 
 
 def _cmd_calibrate(args) -> str:
@@ -79,28 +98,33 @@ def _cmd_calibrate(args) -> str:
         raise ValueError("--hierarchy is required when --source crm-selected")
     tax = load_hierarchy(args.hierarchy) if args.hierarchy else None
     val = load_predictions(args.val_predictions, tax)
-    test = load_predictions(args.predictions, tax)
-    if tax is None and val.class_names != test.class_names:
-        raise ValueError(
+    names, blocks = read_predictions(args.predictions, tax)
+    if tax is None and val.class_names != names:
+        raise _checked(blocks, ValueError(
             "validation and test files disagree on class order; "
             "pass --hierarchy to align them by name"
-        )
-    if test.N == 0:
+        ))
+    first = next(blocks, None)
+    if first is None:
         raise ValueError("test prediction file has no rows")
-    temperature = fit_temperature(val)
-    del val
     basis, C = "likelihood", None
-    if args.source == "crm-selected":
-        basis, C = "crm", build_cost_matrix(tax)
-    # Binning reads rank 0 only, and one ranking is resident at a time:
-    # each is binned, then dropped.
-    bins_pre = bin_confidences(test, batch_apply(test, C, basis, depth=1),
-                               args.bins, args.source)
-    post = PredictionSet(apply_temperature(test.probs, temperature),
-                         test.truth, test.class_names, _adopt=True)
-    del test
-    bins_post = bin_confidences(post, batch_apply(post, C, basis, depth=1),
-                                args.bins, args.source)
+    try:
+        temperature = fit_temperature(val)
+        if args.source == "crm-selected":
+            basis, C = "crm", build_cost_matrix(tax)
+    except (ValueError, MemoryError) as e:
+        raise _checked(blocks, e)
+    del val
+    # Each test block is binned at rank 0 before and after scaling, which
+    # is row-wise, then dropped.
+    pre = BinTally(args.bins, args.source)
+    post = BinTally(args.bins, args.source)
+    for block in chain([first], blocks):
+        pre.add(block, batch_apply(block, C, basis, depth=1))
+        block = PredictionSet(apply_temperature(block.probs, temperature),
+                              block.truth, names, _adopt=True)
+        post.add(block, batch_apply(block, C, basis, depth=1))
+    bins_pre, bins_post = pre.bins(), post.bins()
     report = CalibrationReport(
         ece_pre=ece(bins_pre), ece_post=ece(bins_post),
         mce_pre=mce(bins_pre), mce_post=mce(bins_post),
@@ -112,11 +136,20 @@ def _cmd_calibrate(args) -> str:
 def _cmd_shuffle_eval(args) -> str:
     tax = load_hierarchy(args.hierarchy)
     trees = {"original": tax, "shuffled": shuffle_leaves(tax, args.seed)}
-    preds = load_predictions(args.predictions, tax)
+    _, blocks = read_predictions(args.predictions, tax)
+    try:
+        evals = {basis: {name: Evaluation(t, basis, args.k)
+                         for name, t in trees.items()}
+                 for basis in ("likelihood", "crm")}
+    except (ValueError, MemoryError) as e:
+        raise _checked(blocks, e)
+    for block in blocks:
+        for by_tree in evals.values():
+            for ev in by_tree.values():
+                ev.add(block)
     return metrics_report_to_json({
-        basis: {name: full_report(preds, t, basis, args.k)
-                for name, t in trees.items()}
-        for basis in ("likelihood", "crm")
+        basis: {name: ev.report() for name, ev in by_tree.items()}
+        for basis, by_tree in evals.items()
     })
 
 

@@ -8,9 +8,12 @@ round-trip repr. Every file is read through one opener, which detects
 gzip by its magic bytes, and written through one, which compresses a
 path ending in ``.gz`` with a zeroed mtime so identical inputs give
 identical bytes, reports included. Prediction files stream through them
-in blocks of rows of about 1 MiB of text: loading holds the float64
-values once plus one block of lines. The cost-matrix CSV is written the
-same way. Undecodable bytes are reported by line and byte.
+in blocks of rows of about 1 MiB of text: ``read_predictions`` yields
+each block once it is checked, for a caller that reduces it and drops
+it, and ``load_predictions`` appends each to one N x K buffer, holding
+the float64 values once plus one block of lines. The cost-matrix CSV is
+written a block at a time too. Undecodable bytes are reported by line
+and byte.
 
 Reports (``MetricsReport``, ``CalibrationReport``) go through one JSON
 emitter and one loader, both driven by the per-report field tables in
@@ -38,7 +41,7 @@ import numpy as np
 
 from .calibration import CONFIDENCE_SOURCES, CalibrationBins, CalibrationReport
 from .metrics import MetricsReport
-from .predictions import PredictionSet, validate_rows
+from .predictions import PredictionSet, _passed, validate_rows
 from .riskmin import CostMatrix
 from .taxonomy import Taxonomy, parse_taxonomy
 
@@ -48,6 +51,7 @@ __all__ = [
     "load_hierarchy",
     "save_hierarchy",
     "load_predictions",
+    "read_predictions",
     "save_predictions",
     "metrics_report_to_json",
     "calibration_report_to_json",
@@ -157,8 +161,12 @@ def _lines(f):
         yield line.removesuffix("\n").removesuffix("\r")
 
 
-def _rows_per_block(K: int) -> int:  # a value's repr is about 20 chars
-    return max(1, _BLOCK // (20 * K))
+def _rows_per_block(K: int) -> int:
+    """About ``_BLOCK`` bytes of text (a value's repr is about 20 chars),
+    but at least one row per 16 KiB of it (64 rows): each risk ranking
+    of a block reads the whole K x K cost table, which more rows
+    amortize, and at large K that table outweighs 64 rows of text."""
+    return max(1, _BLOCK // (20 * K), _BLOCK >> 14)
 
 
 def _parse_rows(lines, first: int, K: int, label_to_idx):
@@ -203,23 +211,29 @@ def _parse_rows(lines, first: int, K: int, label_to_idx):
     return probs, truth
 
 
-def load_predictions(path, taxonomy: Taxonomy | None = None) -> PredictionSet:
-    """Parse a prediction CSV, optionally aligning it to a taxonomy.
+def read_predictions(path, taxonomy: Taxonomy | None = None):
+    """Open a prediction CSV for streaming: ``(class_names, blocks)``.
 
-    With a taxonomy the header's class names must equal the taxonomy's
-    leaf set; columns are re-mapped by name onto taxonomy order, so the
-    file's column order never matters. Without one, the file's own
+    The format and header lines are checked before this returns; the
+    data rows follow as validated ``PredictionSet`` blocks of about
+    ``_BLOCK`` bytes of text, in file order. With a taxonomy the
+    header's class names must equal its leaf set, and columns are
+    re-mapped by name onto taxonomy order; without one, the file's own
     order stands and truth labels must appear in the header.
 
-    Rows obey the row rule of :mod:`.predictions`. The first fault in
-    file order is reported with its line: per data line the field count,
-    the truth label, then each token left to right (it must parse, be
-    finite and be >= 0); row sums only once every line has passed.
-    The file is read a block of lines at a time; each block is checked,
-    then appended to one buffer that the set adopts, so loading holds
-    the float64 values once plus one block of lines. Undecodable bytes
-    are reported by line, after any fault on an earlier line.
+    Rows obey the row rule of :mod:`.predictions`, each row checked and
+    renormalized once. The first fault in file order is reported with
+    its line: per data line the field count, the truth label, then each
+    token left to right (it must parse, be finite and be >= 0), and
+    undecodable bytes. A row sum that is off is raised only once every
+    later line has passed those checks. Nothing is yielded after a fault.
     """
+    blocks = _blocks(path, taxonomy)
+    return next(blocks), blocks
+
+
+def _blocks(path, taxonomy):
+    """The class list, then the blocks of :func:`read_predictions`."""
     with _reader(path) as f:
         lines = _lines(f)
         if next(lines, None) != PREDICTIONS_MAGIC:
@@ -251,13 +265,13 @@ def load_predictions(path, taxonomy: Taxonomy | None = None) -> PredictionSet:
                     f"(missing {missing}, unexpected {extra})"
                 )
             label_to_idx = taxonomy.leaf_order
-        # Each block is re-mapped onto taxonomy order once it has passed,
-        # by take, whose copy is C-ordered as the byte buffer needs.
+        # Each block is re-mapped onto taxonomy order once its entries
+        # have passed, by take, whose copy is C-ordered.
         to_tax = np.array([column[n] for n in tax_names], dtype=np.int64)
         same = names == tax_names
+        yield tax_names
 
-        values, truths = bytearray(), bytearray()  # float64s, int64s
-        step, line, cut = _rows_per_block(K), 3, None
+        step, line, cut, off = _rows_per_block(K), 3, None, None
         while cut is None:
             rows = []
             try:
@@ -267,24 +281,43 @@ def load_predictions(path, taxonomy: Taxonomy | None = None) -> PredictionSet:
             if not rows:
                 break
             probs, truth = _parse_rows(rows, line, K, label_to_idx)
-            probs = probs if same else probs.take(to_tax, axis=1)
-            values.extend(probs.view(np.uint8))
-            truths.extend(truth.view(np.uint8))
+            if cut is None and off is None:
+                probs = probs if same else probs.take(to_tax, axis=1)
+                try:
+                    block = PredictionSet(probs, truth, tax_names,
+                                          _adopt=True)
+                except ValueError:
+                    # Every entry has passed, so a row sum is off: name
+                    # the first one, summed in file order, once every
+                    # later line has passed too.
+                    fault = validate_rows(probs[:, np.argsort(to_tax)])
+                    if fault is None:
+                        raise
+                    off = FormatError(f"line {line + fault[1]}: row "
+                                      f"{fault[0]}")
+                else:
+                    yield block
+                    del block
             line += len(rows)
             del rows, probs  # before the next block is read
-        if cut is not None:
-            raise cut
-    probs = np.frombuffer(values, dtype=np.float64).reshape(-1, K)
-    try:
-        return PredictionSet(probs, np.frombuffer(truths, dtype=np.int64),
-                             tax_names, _adopt=True)
-    except ValueError:
-        # Every entry has passed, so a row sum is off: name the first
-        # one, summed in file order.
-        fault = validate_rows(probs[:, np.argsort(to_tax)])
-        if fault is None:
-            raise
-        raise FormatError(f"line {fault[1] + 3}: row {fault[0]}") from None
+        if cut or off:
+            raise cut or off
+
+
+def load_predictions(path, taxonomy: Taxonomy | None = None) -> PredictionSet:
+    """Parse a whole prediction CSV, optionally aligning it to a taxonomy.
+
+    The blocks of :func:`read_predictions`, with its checks and faults,
+    are appended to one buffer that the set adopts, so loading holds the
+    float64 values once plus one block of lines.
+    """
+    names, blocks = read_predictions(path, taxonomy)
+    values, truths = bytearray(), bytearray()  # float64s, int64s
+    for block in blocks:
+        values.extend(block.probs.view(np.uint8))
+        truths.extend(block.truth.view(np.uint8))
+    probs = np.frombuffer(values, dtype=np.float64).reshape(-1, len(names))
+    return _passed(probs, np.frombuffer(truths, dtype=np.int64), names)
 
 
 def _check_csv_names(names) -> None:

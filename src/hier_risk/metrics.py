@@ -9,6 +9,9 @@ low-severity mistakes.
 LCA heights are integers, so every sample mean is an exact int64 total
 divided once: each reported mean is the correctly rounded quotient, and
 it does not depend on the order of the rows or on how they are batched.
+An ``Evaluation`` keeps those totals over blocks of rows, so a report
+needs one block and its ranking resident, never all N rows;
+``full_report`` is an ``Evaluation`` of one block.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .predictions import PredictionSet
-from .riskmin import (LIKELIHOOD, Ranking, _normalize_basis, batch_apply,
-                      build_cost_matrix)
+from .riskmin import (LIKELIHOOD, RISK, Ranking, _normalize_basis,
+                      batch_apply, build_cost_matrix)
 from .taxonomy import Taxonomy, node_height
 
 __all__ = [
@@ -32,6 +35,7 @@ __all__ = [
     "severity_histogram",
     "metric_flaw_check",
     "full_report",
+    "Evaluation",
     "DEFAULT_K_LIST",
 ]
 
@@ -72,28 +76,65 @@ def _as_truth(ranked: Ranking, truth) -> np.ndarray:
     return t
 
 
+class Evaluation:
+    """Every metric of one basis on one tree, as exact integer totals
+    (column sums of the gathered LCA heights, top-1 severity counts)
+    over the blocks of rows added so far, so the report does not depend
+    on the block split. ``add`` ranks a block to the largest k with the
+    cost matrix built once here; ``count`` takes a ranking made elsewhere.
+    """
+
+    def __init__(self, tax: Taxonomy, basis: str, k_list=DEFAULT_K_LIST):
+        self.ks = _sorted_ks(k_list, tax.K)
+        self.basis = _normalize_basis(basis)
+        self.names = [tax.names[leaf] for leaf in tax.leaves]
+        self.C = build_cost_matrix(tax) if self.basis == RISK else None
+        self.lca = tax.lca_matrix()
+        self.height = node_height(tax, tax.root)
+        self.n = 0
+        self.columns = np.zeros(self.ks[-1], dtype=np.int64)
+        self.counts = np.zeros(self.height + 1, dtype=np.int64)
+
+    def add(self, preds: PredictionSet) -> Ranking:
+        if self.C is None and preds.class_names != self.names:
+            # The likelihood ranking reads no costs, only the class order.
+            raise ValueError("class order mismatch between predictions "
+                             "and cost matrix")
+        ranked = batch_apply(preds, self.C, self.basis, depth=self.ks[-1])
+        self.count(ranked, preds.truth)
+        return ranked
+
+    def count(self, ranked: Ranking, truth) -> None:
+        m = self.ks[-1]
+        if m > ranked.permutation.shape[1]:
+            raise ValueError(f"k={m} exceeds the ranking depth "
+                             f"{ranked.permutation.shape[1]}")
+        t = _as_truth(ranked, truth)
+        D = self.lca[t[:, None], ranked.permutation[:, :m]]
+        self.n += t.shape[0]
+        self.columns += D.sum(axis=0, dtype=np.int64)
+        self.counts += np.bincount(D[:, 0], minlength=self.height + 1)
+
+    def report(self) -> MetricsReport:
+        N = self.n
+        totals = np.cumsum(self.columns).tolist()
+        n_mist = N - int(self.counts[0])
+        return MetricsReport(
+            top1_error=n_mist / N if N else 0.0,
+            distance_at_k={k: totals[k - 1] / (k * N) if N else 0.0
+                           for k in self.ks},
+            severity_over_mistakes=totals[0] / n_mist if n_mist else None,
+            severity_over_all=totals[0] / N if N else 0.0,
+            n_mistakes=n_mist,
+            histogram={h: int(self.counts[h])
+                       for h in range(1, self.height + 1)},
+        )
+
+
 def _reduce(ranked: Ranking, truth, tax: Taxonomy, k_list) -> MetricsReport:
-    ks = _sorted_ks(k_list, tax.K)
-    if ks[-1] > ranked.permutation.shape[1]:
-        raise ValueError(f"k={ks[-1]} exceeds the ranking depth "
-                         f"{ranked.permutation.shape[1]}")
-    t = _as_truth(ranked, truth)
-    N = t.shape[0]
-    height = node_height(tax, tax.root)
-    D = tax.lca_matrix()[t[:, None], ranked.permutation[:, :ks[-1]]]
-    totals = np.cumsum(D.sum(axis=0, dtype=np.int64)).tolist()
-    sev = D[:, 0]
-    mistakes = sev > 0
-    n_mist = int(mistakes.sum())
-    counts = np.bincount(sev[mistakes], minlength=height + 1)
-    return MetricsReport(
-        top1_error=n_mist / N if N else 0.0,
-        distance_at_k={k: totals[k - 1] / (k * N) if N else 0.0 for k in ks},
-        severity_over_mistakes=totals[0] / n_mist if n_mist else None,
-        severity_over_all=totals[0] / N if N else 0.0,
-        n_mistakes=n_mist,
-        histogram={h: int(counts[h]) for h in range(1, height + 1)},
-    )
+    ev = Evaluation(tax, LIKELIHOOD, k_list)
+    ev.count(ranked, truth)
+    return ev.report()
 
 
 def top1_error(ranked: Ranking, truth) -> float:
@@ -151,16 +192,8 @@ def metric_flaw_check(d_h, m, d_l, n) -> bool:
 
 def full_report(preds: PredictionSet, tax: Taxonomy, basis: str,
                 k_list=DEFAULT_K_LIST) -> MetricsReport:
-    """All metrics from one ranking of the batch, to the largest k, and
-    one reduction."""
-    ks = _sorted_ks(k_list, tax.K)
-    C = None
-    if _normalize_basis(basis) == LIKELIHOOD:
-        # The likelihood ranking reads no costs, only the class order.
-        if preds.class_names != [tax.names[leaf] for leaf in tax.leaves]:
-            raise ValueError("class order mismatch between predictions "
-                             "and cost matrix")
-    else:
-        C = build_cost_matrix(tax)
-    return _reduce(batch_apply(preds, C, basis, depth=ks[-1]), preds.truth,
-                   tax, ks)
+    """All metrics from one ranking of the batch, to the largest k: an
+    :class:`Evaluation` of one block."""
+    ev = Evaluation(tax, basis, k_list)
+    ev.add(preds)
+    return ev.report()

@@ -234,10 +234,12 @@ def _certified_rank(P: np.ndarray, C: np.ndarray, approx=None,
     else:
         # Cost columns are cast a block at a time, so no K x K float
         # table exists, and each product goes through a small temporary
-        # because matmul into a strided ``out`` does not reach BLAS.
+        # because matmul into a strided ``out`` does not reach BLAS. C is
+        # symmetric, so the columns are cast from its contiguous rows,
+        # about 3x faster than from a strided column slice.
         scores = np.empty((N, K), dtype=np.float64)
         for b in range(0, K, width):
-            Cb = C[:, b:b + width].astype(np.float64)
+            Cb = C[b:b + width].astype(np.float64).T
             for lo in range(0, N, step):
                 scores[lo:lo + step, b:b + width] = P[lo:lo + step] @ Cb
     perm = np.empty((N, m), dtype=np.int64)

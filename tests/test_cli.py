@@ -13,7 +13,7 @@ from hier_risk import (PredictionSet, build_cost_matrix, full_report,
                        parse_taxonomy)
 from hier_risk.cli import main
 from hier_risk.dataio import PREDICTIONS_MAGIC, cost_matrix_to_csv
-from hier_risk.riskmin import batch_crm_top1
+from hier_risk.riskmin import Ranking, batch_apply, batch_crm_top1
 
 
 @pytest.fixture()
@@ -188,7 +188,7 @@ def test_out_of_memory_exits_two(corpus, capsys, monkeypatch):
     def exhausted(*args):
         raise MemoryError("Unable to allocate 7.45 GiB for an array")
 
-    monkeypatch.setattr("hier_risk.cli.load_predictions", exhausted)
+    monkeypatch.setattr("hier_risk.cli.read_predictions", exhausted)
     code = main(["eval", "--hierarchy", corpus["hier"],
                  "--predictions", corpus["preds"]])
     assert code == 2
@@ -264,6 +264,39 @@ def test_wide_eval_peak_memory_stays_under_ceiling(tmp_path, checkout_env):
     assert rc == 0, run.stderr
     assert load_metrics_report(out).n_mistakes >= 0
     assert maxrss_kib / 1024 < 400, maxrss_kib
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in KiB on Linux")
+def test_streamed_peak_memory_is_flat_in_n(tmp_path, checkout_env):
+    # eval and calibrate rank and reduce one block of rows at a time, so
+    # 8x the test rows (3.5 -> 28 MB of CSV on the tall shape) must not
+    # move their peak. Holding the N x K matrices grew eval's by 24 MB.
+    tall = ["--classes", "32", "--concentration", "0.05",
+            "--tree-mode", "balanced-binary", "--truth-mode", "corrupted",
+            "--corrupt-rho", "0.2"]
+    h, v = str(tmp_path / "h.tsv"), str(tmp_path / "v.csv")
+    assert main(["simulate", "--seed", "2", "--samples", "2000", *tall,
+                 "--out-predictions", v, "--out-hierarchy", h]) == 0
+    peaks = {}
+    for n in (5000, 40000):
+        p = str(tmp_path / f"p{n}.csv")
+        assert main(["simulate", "--seed", "1", "--samples", str(n), *tall,
+                     "--out-predictions", p, "--out-hierarchy", h]) == 0
+        for op in (["eval", "--hierarchy", h, "--basis", "crm"],
+                   ["calibrate", "--val-predictions", v, "--hierarchy", h,
+                    "--source", "crm-selected"]):
+            run = subprocess.run(
+                [sys.executable, "-c", LAUNCH, sys.executable, "-m",
+                 "hier_risk", *op, "--predictions", p,
+                 "--out", str(tmp_path / "r.json")],
+                capture_output=True, text=True, env=checkout_env,
+            )
+            rc, maxrss_kib = map(int, run.stdout.split())
+            assert rc == 0, run.stderr
+            peaks[op[0], n] = maxrss_kib / 1024
+    for op in ("eval", "calibrate"):
+        assert peaks[op, 40000] - peaks[op, 5000] < 4, peaks
 
 
 def test_out_file_equals_stdout(corpus, tmp_path, capsys):
@@ -434,10 +467,14 @@ def test_perfbench_trace_hooks_resolve():
 
 
 def test_theorem1_check_fails_loudly(corpus, capsys, monkeypatch):
-    # A top-1 source that moves every argmax must trip the check.
-    def shifted(preds, C):
-        return (np.argmax(preds.probs, axis=1) + 1) % preds.K
-    monkeypatch.setattr("hier_risk.cli.batch_crm_top1", shifted)
+    # A ranking whose rank 0 moves every argmax must trip the check,
+    # which reads rank 0 of the ranking the report is counted from.
+    def shifted(preds, C, basis, depth=None):
+        ranked = batch_apply(preds, C, basis, depth=depth)
+        perm = ranked.permutation.copy()
+        perm[:, 0] = (np.argmax(preds.probs, axis=1) + 1) % preds.K
+        return Ranking(perm, ranked.scores, ranked.basis)
+    monkeypatch.setattr("hier_risk.metrics.batch_apply", shifted)
     code = main(["eval", "--hierarchy", corpus["hier"],
                  "--predictions", corpus["preds"], "--k", "1,5",
                  "--theorem1-fastpath"])
