@@ -29,7 +29,7 @@ def show(title, perm, names, scores):
 
 def main():
     tax = parse_taxonomy(EDGES)
-    names = [tax.names[leaf] for leaf in tax.leaves]
+    names = tax.class_names
     C = build_cost_matrix(tax)
 
     print("leaves:", ", ".join(names))

@@ -22,7 +22,7 @@ def sibling_confused_model(tax, seed):
     rows[np.arange(N), truth] += 0.45
     rows[np.arange(N), truth ^ 1] += 0.30
     rows /= rows.sum(axis=1, keepdims=True)
-    names = [tax.names[leaf] for leaf in tax.leaves]
+    names = tax.class_names
     return PredictionSet(rows, truth.astype(np.int64), names)
 
 

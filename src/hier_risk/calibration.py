@@ -238,8 +238,12 @@ def hierarchical_ece(preds: PredictionSet, tax: Taxonomy, depth: int,
     through the same grouping, and plain ECE with max-likelihood
     confidence is computed there. Depth 0 collapses everything into one
     always-correct class with confidence exactly 1, so the result is
-    exactly 0; the maximum leaf depth leaves the space untouched.
+    exactly 0; the maximum leaf depth leaves the space untouched. The
+    columns of ``preds`` must follow ``tax.class_names``.
     """
+    if preds.class_names != tax.class_names:
+        raise ValueError("class order mismatch between predictions and "
+                         "taxonomy")
     mapping = collapse_to_depth(tax, depth)
     targets = sorted(set(mapping.values()))
     names = [tax.names[t] for t in targets]

@@ -144,9 +144,11 @@ def _cmd_shuffle_eval(args) -> str:
     except (ValueError, MemoryError) as e:
         raise _checked(blocks, e)
     for block in blocks:
-        for by_tree in evals.values():
-            for ev in by_tree.values():
-                ev.add(block)
+        # Both trees list the same classes and likelihoods read no costs.
+        ranked = evals["likelihood"]["original"].add(block)
+        evals["likelihood"]["shuffled"].count(ranked, block.truth)
+        for ev in evals["crm"].values():
+            ev.add(block)
     return metrics_report_to_json({
         basis: {name: ev.report() for name, ev in by_tree.items()}
         for basis, by_tree in evals.items()

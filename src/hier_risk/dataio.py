@@ -256,7 +256,7 @@ def _blocks(path, taxonomy):
         column = {n: i for i, n in enumerate(names)}
         tax_names, label_to_idx = names, column
         if taxonomy is not None:
-            tax_names = [taxonomy.names[l] for l in taxonomy.leaves]
+            tax_names = taxonomy.class_names
             if set(names) != set(tax_names):
                 missing = sorted(set(tax_names) - set(names))[:5]
                 extra = sorted(set(names) - set(tax_names))[:5]

@@ -87,7 +87,7 @@ class Evaluation:
     def __init__(self, tax: Taxonomy, basis: str, k_list=DEFAULT_K_LIST):
         self.ks = _sorted_ks(k_list, tax.K)
         self.basis = _normalize_basis(basis)
-        self.names = [tax.names[leaf] for leaf in tax.leaves]
+        self.names = tax.class_names
         self.C = build_cost_matrix(tax) if self.basis == RISK else None
         self.lca = tax.lca_matrix()
         self.height = node_height(tax, tax.root)

@@ -61,10 +61,11 @@ class CostMatrix:
     order. Raw arrays are accepted as a side door for testing; they are
     copied and validated only for squareness, symmetry, and the zero
     diagonal. ``entries`` is one read-only C-contiguous table, the same
-    one the risk kernel reads.
+    one the risk kernel reads. ``bound`` is max |entry|, as a float: the
+    H of every ranking's radius, found once per matrix.
     """
 
-    __slots__ = ("K", "entries", "class_names")
+    __slots__ = ("K", "entries", "class_names", "bound")
 
     def __init__(self, entries, class_names=None):
         e = np.array(entries, order="C", copy=True)
@@ -80,6 +81,7 @@ class CostMatrix:
             raise ValueError("cost matrix diagonal must be zero")
         e.flags.writeable = False
         self.entries = e
+        self.bound = max(float(e.max()), -float(e.min()))
         self.K = e.shape[0]
         if class_names is not None:
             class_names = [str(n) for n in class_names]
@@ -162,8 +164,9 @@ def build_cost_matrix(tax: Taxonomy) -> CostMatrix:
     construction, so there is nothing to check.
     """
     C = CostMatrix.__new__(CostMatrix)
-    C.entries, C.K = tax.lca_matrix(), tax.K
-    C.class_names = [tax.names[leaf] for leaf in tax.leaves]
+    C.entries, C.K, C.class_names = tax.lca_matrix(), tax.K, tax.class_names
+    # Any row holds the max: the LCA height of all classes, not h(root).
+    C.bound = float(C.entries[0].max())
     return C
 
 
@@ -197,29 +200,28 @@ _U = 2.0 ** -53          # unit roundoff of float64
 _CHUNK = 1 << 16         # elements per block of rows or cost columns
 
 
-def _radius(P: np.ndarray, C: np.ndarray) -> np.ndarray:
+def _radius(P: np.ndarray, H: float) -> np.ndarray:
     """Per-row delta with |(P @ C)[i, k] - kernel risk| <= delta[i].
 
     A dot product of n terms lies within gamma_n * sum |p_j C[j, k]| of
     the exact value in any summation order, with or without FMA
     (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
     Sec. 3.1); that covers both the BLAS product and the kernel. Here
-    sum |p_j C[j, k]| <= H * S with H = max |C| and S the row sum, which
-    the computed S understates by at most (K - 1) * u relative. The
-    bound is evaluated at n = K + 8 terms, so its own roundings stay
-    inside the margin; the last term covers products that underflow.
+    sum |p_j C[j, k]| <= H * S with H = max |C| (``CostMatrix.bound``)
+    and S the row sum, which the computed S understates by at most
+    (K - 1) * u relative. Evaluated at n = K + 8 terms, the radius keeps
+    its own roundings inside the margin; the last term covers underflow.
     """
     n = P.shape[1] + 8
     gamma = n * _U / (1.0 - n * _U)
-    H = max(float(C.max()), -float(C.min()))
     return (2.0 * gamma * H * (1.0 + 2.0 * n * _U)) * P.sum(axis=1) \
         + n * 2.0 ** -1074
 
 
-def _certified_rank(P: np.ndarray, C: np.ndarray, approx=None,
+def _certified_rank(P: np.ndarray, C: CostMatrix, approx=None,
                     depth: int | None = None):
     """Permutation to ``depth`` (default K) and scores of the exact
-    ranking of every row of P.
+    ranking of every row of P under the cost matrix C.
 
     ``approx`` replaces the BLAS product as the first estimate of the
     risks; any array within ``_radius`` of the kernel risks gives the
@@ -239,11 +241,11 @@ def _certified_rank(P: np.ndarray, C: np.ndarray, approx=None,
         # about 3x faster than from a strided column slice.
         scores = np.empty((N, K), dtype=np.float64)
         for b in range(0, K, width):
-            Cb = C[b:b + width].astype(np.float64).T
+            Cb = C.entries[b:b + width].astype(np.float64).T
             for lo in range(0, N, step):
                 scores[lo:lo + step, b:b + width] = P[lo:lo + step] @ Cb
     perm = np.empty((N, m), dtype=np.int64)
-    tol = 2.0 * _radius(P, C)
+    tol = 2.0 * _radius(P, C.bound)
     for lo in range(0, N, step):
         R = scores[lo:lo + step]
         order = np.argsort(R, axis=1, kind="stable")
@@ -254,7 +256,7 @@ def _certified_rank(P: np.ndarray, C: np.ndarray, approx=None,
             # 2 * delta apart is in kernel order to depth m, since every
             # later estimate is at or above the (m + 1)-th; every other
             # row is sorted from its exact risks.
-            R[redo] = _exact_risks(P[lo:lo + step][redo], C)
+            R[redo] = _exact_risks(P[lo:lo + step][redo], C.entries)
             order[redo] = np.argsort(R[redo], axis=1, kind="stable")
         perm[lo:lo + step] = order[:, :m]
     return perm, scores
@@ -331,7 +333,7 @@ def batch_apply(preds: PredictionSet, C: CostMatrix | None,
     if b == RISK:
         if C is None:
             raise ValueError("risk basis requires a cost matrix")
-        order, scores = _certified_rank(preds.probs, C.entries, depth=m)
+        order, scores = _certified_rank(preds.probs, C, depth=m)
     else:
         # A block of rows at a time, so no (N, K) negated copy exists.
         scores = preds.probs

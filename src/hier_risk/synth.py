@@ -59,8 +59,8 @@ class SynthConfig:
             raise ValueError("K above 9999 exceeds the leaf naming scheme")
         if self.N < 0:
             raise ValueError("N must be >= 0")
-        if not self.concentration > 0:
-            raise ValueError("concentration must be positive")
+        if not 0 < self.concentration < float("inf"):
+            raise ValueError("concentration must be positive and finite")
         if self.truth_mode not in TRUTH_MODES:
             raise ValueError(f"unknown truth mode {self.truth_mode!r}")
         if not 0.0 <= self.corrupt_rho <= 1.0:
@@ -189,8 +189,8 @@ def gen_predictions(cfg: SynthConfig, tax: Taxonomy) -> PredictionSet:
             replacement = rng.integers(0, cfg.K, size=cfg.N)
             truth = np.where(mask, replacement, truth)
 
-    names = [tax.names[leaf] for leaf in tax.leaves]
-    return PredictionSet(probs, truth.astype(np.int64), names, _adopt=True)
+    return PredictionSet(probs, truth.astype(np.int64), tax.class_names,
+                         _adopt=True)
 
 
 def oracle_risk(p, C: CostMatrix) -> np.ndarray:

@@ -10,7 +10,8 @@ they form the class set, ordered by sorted name.
 The cost of confusing class i with class j is the height of their
 lowest common ancestor. Height counts edges down to the furthest
 descendant leaf, so every leaf has height 0 and the LCA height of a
-class with itself is 0.
+class with itself is 0. A taxonomy walks its tree once, when it is
+built, for every per-node table; the K x K LCA table is built lazily.
 """
 
 from __future__ import annotations
@@ -36,48 +37,67 @@ class Taxonomy:
     """Immutable rooted tree over named nodes.
 
     Instances come from :func:`parse_taxonomy` (or helpers that delegate
-    to it) and must not be mutated afterwards. Derived tables (children,
-    depths, heights, the pairwise LCA-height matrix) are cached on first
-    use; all queries are read-only and safe under concurrent readers.
+    to it) and must not be mutated afterwards. One walk at construction
+    gives every per-node table (depth, height, depth-first leaf range);
+    the pairwise LCA-height matrix is built from them on first use. All
+    queries are read-only and safe under concurrent readers.
 
     Attributes:
         names: node index -> node name.
         parent: node index -> parent node index, -1 for the root.
         root: index of the unique parentless node.
         leaves: node indices of the K classes, sorted by name.
+        class_names: the K class names in that order, as a list.
         leaf_order: class name -> class index in 0..K-1.
     """
 
     __slots__ = (
-        "names", "parent", "root", "leaves", "leaf_order",
-        "_children", "_depths", "_heights", "_lca",
+        "names", "parent", "root", "leaves", "class_names", "leaf_order",
+        "_children", "_depths", "_heights", "_lo", "_hi", "_lca",
     )
 
     def __init__(self, names, parent):
         self.names = list(names)
         self.parent = [int(p) for p in parent]
-        if len(self.names) != len(self.parent):
+        n = len(self.names)
+        if n != len(self.parent):
             raise TaxonomyError("names and parent lists differ in length")
-        if len(set(self.names)) != len(self.names):
+        if len(set(self.names)) != n:
             raise TaxonomyError("node names must be unique")
         roots = [i for i, p in enumerate(self.parent) if p < 0]
         if len(roots) != 1:
             raise TaxonomyError("taxonomy requires exactly one root")
         self.root = roots[0]
-        children: list[list[int]] = [[] for _ in self.names]
+        ch: list[list[int]] = [[] for _ in self.names]
         for i, p in enumerate(self.parent):
             if p >= 0:
-                children[p].append(i)
-        self._children = children
-        self.leaves = sorted(
-            (i for i, c in enumerate(children) if not c),
-            key=lambda i: self.names[i],
-        )
+                ch[p].append(i)
+        self._children = ch
+        # Preorder from the root: depths on the way down, leaves numbered
+        # in visit order; then heights and leaf ranges children first.
+        depth, height, lo, hi = ([0] * n for _ in range(4))
+        preorder, stack, k = [], [self.root], 0
+        while stack:
+            u = stack.pop()
+            preorder.append(u)
+            if not ch[u]:
+                lo[u], hi[u], k = k, k + 1, k + 1
+            for c in ch[u]:
+                depth[c] = depth[u] + 1
+            stack.extend(reversed(ch[u]))
+        if len(preorder) != n:
+            raise TaxonomyError("every node must descend from the root")
+        for u in reversed(preorder):
+            if ch[u]:
+                height[u] = 1 + max([height[c] for c in ch[u]])
+                lo[u], hi[u] = lo[ch[u][0]], hi[ch[u][-1]]
+        self._depths, self._heights, self._lo, self._hi = depth, height, lo, hi
+        self.leaves = sorted((i for i in range(n) if not ch[i]),
+                             key=self.names.__getitem__)
         if len(self.leaves) < 2:
             raise TaxonomyError("taxonomy must have at least 2 leaf classes")
-        self.leaf_order = {self.names[i]: k for k, i in enumerate(self.leaves)}
-        self._depths = None
-        self._heights = None
+        self.class_names = [self.names[i] for i in self.leaves]
+        self.leaf_order = {name: k for k, name in enumerate(self.class_names)}
         self._lca = None
 
     @property
@@ -93,34 +113,14 @@ class Taxonomy:
 
     def depths(self) -> list[int]:
         """Edge count from the root, per node (root depth 0)."""
-        if self._depths is None:
-            d = [-1] * self.n_nodes
-            d[self.root] = 0
-            stack = [self.root]
-            while stack:
-                u = stack.pop()
-                for v in self._children[u]:
-                    d[v] = d[u] + 1
-                    stack.append(v)
-            self._depths = d
         return self._depths
 
     def heights(self) -> list[int]:
         """Edge count to the furthest descendant leaf, per node."""
-        if self._heights is None:
-            d = self.depths()
-            h = [0] * self.n_nodes
-            # Children always sit deeper than their parent, so walking
-            # nodes by decreasing depth visits every child first.
-            for u in sorted(range(self.n_nodes), key=lambda i: -d[i]):
-                if self._children[u]:
-                    h[u] = 1 + max(h[v] for v in self._children[u])
-            self._heights = h
         return self._heights
 
     def max_leaf_depth(self) -> int:
-        d = self.depths()
-        return max(d[leaf] for leaf in self.leaves)
+        return max(self._depths[leaf] for leaf in self.leaves)
 
     def root_path(self, node: int) -> list[int]:
         """Node indices from the root down to ``node`` inclusive."""
@@ -148,23 +148,11 @@ class Taxonomy:
         in sorted-name order.
         """
         if self._lca is None:
-            ch, h = self._children, self.heights()
-            lo, hi = [0] * self.n_nodes, [0] * self.n_nodes
-            preorder, stack, n = [], [self.root], 0
-            while stack:
-                u = stack.pop()
-                preorder.append(u)
-                if ch[u]:
-                    stack.extend(reversed(ch[u]))
-                else:
-                    lo[u], hi[u], n = n, n + 1, n + 1
-            for u in reversed(preorder):
-                if ch[u]:
-                    lo[u], hi[u] = lo[ch[u][0]], hi[ch[u][-1]]
+            ch, h, lo, hi = self._children, self._heights, self._lo, self._hi
             m = np.zeros((self.K, self.K),
                          dtype=np.min_scalar_type(h[self.root]))
-            for u in preorder:
-                for c in ch[u]:
+            for u, kids in enumerate(ch):
+                for c in kids:
                     m[lo[c]:hi[c], lo[u]:lo[c]] = h[u]
                     m[lo[c]:hi[c], hi[c]:hi[u]] = h[u]
             # Rows, then columns: at most two K x K tables at once.
@@ -313,8 +301,7 @@ def shuffle_leaves(tax: Taxonomy, seed: int) -> Taxonomy:
     for t in range(K - 1, 0, -1):
         j = int(rng.integers(0, t + 1))
         perm[t], perm[j] = perm[j], perm[t]
-    sorted_names = [tax.names[leaf] for leaf in tax.leaves]
     new_names = list(tax.names)
     for pos, leaf in enumerate(tax.leaves):
-        new_names[leaf] = sorted_names[perm[pos]]
+        new_names[leaf] = tax.class_names[perm[pos]]
     return Taxonomy(new_names, tax.parent)

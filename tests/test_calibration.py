@@ -220,6 +220,22 @@ def test_hierarchical_ece_depth_extremes():
         hierarchical_ece(preds, tax, tax.max_leaf_depth() + 1)
 
 
+def test_hierarchical_ece_rejects_columns_off_the_class_order():
+    probs = np.array([[0.5, 0.2, 0.2, 0.1], [0.1, 0.3, 0.4, 0.2],
+                      [0.25, 0.25, 0.25, 0.25]])
+    truth = np.array([0, 2, 3])
+    good = PredictionSet(probs, truth, ["a", "b", "c", "d"])
+    assert 0.0 <= hierarchical_ece(good, TWO_BRANCH, 1) <= 1.0
+    # The same rows with their columns as c, a, b, d, and a 3-column set.
+    moved = PredictionSet(probs[:, [2, 0, 1, 3]], [1, 0, 3],
+                          ["c", "a", "b", "d"])
+    narrow = make_preds(probs[:, :3] / probs[:, :3].sum(axis=1)[:, None],
+                        [0, 2, 1], 3)
+    for preds in (moved, narrow):
+        with pytest.raises(ValueError, match="class order mismatch"):
+            hierarchical_ece(preds, TWO_BRANCH, 1)
+
+
 def test_crm_selected_confidence_uses_risk_ranking():
     cfg = SynthConfig(seed=30, K=6, N=200, tree_mode="random-attachment")
     tax = gen_taxonomy(cfg)

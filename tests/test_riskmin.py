@@ -46,6 +46,16 @@ def test_cost_matrix_accepts_raw_float_entries():
     assert C.class_names is None
 
 
+def test_cost_matrix_bound_is_the_largest_magnitude():
+    # The radius's H, max |entry|, is found once per matrix.
+    C = CostMatrix(np.array([[0.0, -3.0, 1.0], [-3.0, 0.0, 2.0],
+                             [1.0, 2.0, 0.0]]))
+    assert C.bound == 3.0
+    assert C.scaled(-2.5).bound == 7.5
+    T = build_cost_matrix(parse_taxonomy("a\tp\nb\tp\nc\tr\np\tr\n"))
+    assert T.bound == 2.0 and T.scaled(-2.5).bound == 5.0
+
+
 def test_cost_matrix_class_name_validation():
     with pytest.raises(ValueError, match="unique"):
         CostMatrix(np.array([[0, 1], [1, 0]]), ["a", "a"])
@@ -369,7 +379,7 @@ def test_certified_batch_ranking_is_the_kernel_ranking(seed, K, tree_mode,
     perms, risks = stacked_rerank(raw, C)
     assert np.array_equal(batch.permutation, perms)
     assert np.array_equal(batch_crm_top1(preds, C), perms[:, 0])
-    delta = _radius(preds.probs, C.entries)[:, None]
+    delta = _radius(preds.probs, C.bound)[:, None]
     gaps = np.diff(np.take_along_axis(batch.scores, perms, axis=1), axis=1)
     assert (gaps >= 0).all()
     # Score contract: a row is its exact kernel risks bit for bit, or
@@ -392,21 +402,21 @@ def test_certificate_alone_gives_exact_order():
     preds = PredictionSet(raw, np.zeros(len(raw), dtype=np.int64),
                           C.class_names)
     perms, risks = stacked_rerank(raw, C)
-    delta = _radius(preds.probs, C.entries)[:, None]
+    delta = _radius(preds.probs, C.bound)[:, None]
     approx = risks + np.where(np.arange(64) % 2 == 0, delta, -delta)
     over = np.abs(approx - risks) > delta
     approx[over] = np.nextafter(approx[over], risks[over])
     assert (np.abs(approx - risks) <= delta).all()
     assert not np.array_equal(np.argsort(approx, axis=1, kind="stable"),
                               perms)
-    perm, scores = _certified_rank(preds.probs, C.entries, approx)
+    perm, scores = _certified_rank(preds.probs, C, approx)
     assert np.array_equal(perm, perms)
     assert (np.diff(np.take_along_axis(scores, perm, axis=1), axis=1)
             >= 0).all()
     # The same holds at every depth: the certificate checks only the
     # first m + 1 estimates, yet must give the full order's prefix.
     for m in range(1, 65):
-        perm, scores = _certified_rank(preds.probs, C.entries, approx,
+        perm, scores = _certified_rank(preds.probs, C, approx,
                                        depth=m)
         assert np.array_equal(perm, perms[:, :m]), m
         assert (np.diff(np.take_along_axis(scores, perm, axis=1), axis=1)
@@ -444,7 +454,7 @@ def test_depth_m_ranking_is_the_prefix_of_the_full_one(seed, K, tree_mode,
     preds = PredictionSet(raw, np.zeros(len(raw), dtype=np.int64),
                           C.class_names)
     exact = _exact_risks(preds.probs, C.entries)
-    delta = _radius(preds.probs, C.entries)[:, None]
+    delta = _radius(preds.probs, C.bound)[:, None]
     for basis in ("crm", "likelihood"):
         full = batch_apply(preds, C, basis)
         for m in range(1, K + 1):

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hier_risk import (FormatError, SynthConfig, gen_predictions,
-                       gen_taxonomy, save_hierarchy)
-from hier_risk import dataio
+                       gen_taxonomy, save_hierarchy, save_predictions)
+from hier_risk import dataio, metrics
 from hier_risk.cli import main
 from hier_risk.dataio import PREDICTIONS_MAGIC, read_predictions
 
@@ -101,6 +101,28 @@ def test_reports_do_not_depend_on_the_block_size(corpus, rows, seed):
             assert whole[0] == (2 if len(truth) == 0 and
                                 argv[0] == "calibrate" else 0), whole
             assert run(argv, rows, K) == whole, argv
+
+
+def test_shuffle_eval_ranks_each_block_three_times(tmp_path):
+    # Both trees list the same classes, and a likelihood ranking reads no
+    # costs: one likelihood and two risk rankings per block.
+    cfg = SynthConfig(seed=4, K=5, N=7, tree_mode="random-attachment")
+    tax = gen_taxonomy(cfg)
+    h, p = str(tmp_path / "h.tsv"), str(tmp_path / "p.csv")
+    save_hierarchy(tax, h)
+    save_predictions(gen_predictions(cfg, tax), p)
+    argv = ["shuffle-eval", "--hierarchy", h, "--predictions", p,
+            "--seed", "1", "--k", "1,3"]
+    bases, rank = [], metrics.batch_apply
+
+    def counted(preds, C, basis, **kw):
+        bases.append(basis)
+        return rank(preds, C, basis, **kw)
+
+    with mock.patch.object(metrics, "batch_apply", counted):
+        assert run(argv, rows=2, K=5)[0] == 0  # 4 blocks
+    assert sorted(bases) == ["likelihood-descending"] * 4 \
+        + ["risk-ascending"] * 8
 
 
 HIER = "a\tp1\nb\tp1\nc\tp2\nd\tp2\np1\troot\np2\troot\n"

@@ -14,6 +14,8 @@ def test_config_validation():
     SynthConfig(**good)
     for field, value in (("K", 1), ("K", 10000), ("N", -1),
                          ("concentration", 0.0), ("concentration", -2.0),
+                         ("concentration", float("inf")),
+                         ("concentration", float("nan")),
                          ("corrupt_rho", -0.1), ("corrupt_rho", 1.5),
                          ("truth_mode", "noisy"), ("tree_mode", "star")):
         with pytest.raises(ValueError):

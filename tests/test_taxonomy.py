@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hier_risk import (PredictionSet, SynthConfig, Taxonomy, TaxonomyError,
-                       batch_apply, collapse_to_depth, gen_taxonomy,
+                       batch_apply, build_cost_matrix, collapse_to_depth,
+                       gen_taxonomy,
                        lca_height, node_height, oracle_lca, parse_taxonomy,
                        shuffle_leaves)
 from hier_risk.metrics import _reduce
@@ -150,6 +151,15 @@ def reference_lca(tax):
     return m
 
 
+def reference_heights(tax):
+    """Each node's height as its longest climb from a descendant leaf."""
+    h = [0] * tax.n_nodes
+    for leaf in tax.leaves:
+        for up, node in enumerate(reversed(tax.root_path(leaf))):
+            h[node] = max(h[node], up)
+    return h
+
+
 def caterpillar(height):
     """A spine of ``height`` internal nodes, each with one leaf hanging
     off it, and two leaves under the deepest: height + 1 classes. Leaf
@@ -168,6 +178,8 @@ TABLE_TREES = {
     "random-attachment-small": random_tree(11, 7),
     "unary-chain": parse_taxonomy(CHAIN),
     "caterpillar": caterpillar(300),
+    # h(root) is 2, but no pair of classes meets above x (height 1).
+    "unary-root": parse_taxonomy("a\tx\nb\tx\nx\troot\n"),
 }
 
 
@@ -184,6 +196,12 @@ def test_lca_table_equals_the_int64_reference(name):
     rng = np.random.default_rng(len(name))
     for i, j in rng.integers(0, tax.K, size=(40, 2)).tolist():
         assert lca_height(tax, i, j) == oracle_lca(tax, i, j) == m[i, j]
+    # The walk's per-node tables and the facts derived from them.
+    assert all(d == len(tax.root_path(v)) - 1
+               for v, d in enumerate(tax.depths()))
+    assert tax.heights() == reference_heights(tax)
+    assert tax.class_names == [tax.names[leaf] for leaf in tax.leaves]
+    assert build_cost_matrix(tax).bound == m.max()
 
 
 @pytest.mark.parametrize("name", ["random-attachment", "caterpillar"])
@@ -272,6 +290,12 @@ def test_shuffle_of_flat_tree_changes_nothing_pairwise():
     tax = gen_taxonomy(SynthConfig(seed=0, K=6, N=0, tree_mode="flat"))
     shuf = shuffle_leaves(tax, 9)
     assert np.array_equal(shuf.lca_matrix(), tax.lca_matrix())
+
+
+def test_taxonomy_constructor_rejects_nodes_off_the_root():
+    # c and d are each other's parent: a cycle the root never reaches.
+    with pytest.raises(TaxonomyError, match="descend from the root"):
+        Taxonomy(["a", "b", "c", "d", "root"], [4, 4, 3, 2, -1])
 
 
 def test_taxonomy_constructor_rejects_duplicate_names():
