@@ -18,9 +18,9 @@ from .metrics import (MetricsReport, distance_at_k, full_report,
                       metric_flaw_check, severity_histogram,
                       severity_over_all, severity_over_mistakes, top1_error)
 from .predictions import PredictionSet
-from .riskmin import (CostMatrix, RankedOutput, Ranking, batch_apply,
-                      batch_crm_top1, build_cost_matrix, conditional_risk,
-                      crm_predict, crm_rerank, likelihood_rank)
+from .riskmin import (CostMatrix, Ranking, batch_apply, batch_crm_top1,
+                      build_cost_matrix, conditional_risk, crm_predict,
+                      crm_rerank, likelihood_rank)
 from .synth import SynthConfig, gen_predictions, gen_taxonomy, oracle_lca, \
     oracle_risk
 from .taxonomy import (Taxonomy, TaxonomyError, collapse_to_depth,
@@ -36,7 +36,6 @@ __all__ = [
     "FormatError",
     "MetricsReport",
     "PredictionSet",
-    "RankedOutput",
     "Ranking",
     "SynthConfig",
     "Taxonomy",

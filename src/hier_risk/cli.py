@@ -199,7 +199,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated list of ranking depths")
     p.add_argument("--theorem1-fastpath", action="store_true",
                    help="check Theorem 1 on the certified top-1: every "
-                        "row with max p > 0.5 keeps its argmax")
+                        "row with max p > 0.5 keeps its argmax; ignored "
+                        "under --basis likelihood, whose top-1 is the argmax")
     add_common(p, threads=True)
     p.set_defaults(func=_cmd_eval)
 

@@ -34,6 +34,7 @@ import codecs
 import gzip
 import json
 import math
+import zlib
 from contextlib import contextmanager
 from itertools import islice, repeat
 
@@ -73,16 +74,22 @@ class FormatError(ValueError):
 
 
 _BLOCK = 1 << 20  # about the bytes of text per block of rows, per write
+# A truncated or corrupt deflate stream; a bad gzip header or CRC is a
+# gzip.BadGzipFile, an OSError, already reported as an input problem.
+_DAMAGED = (EOFError, zlib.error)
 
 
 @contextmanager
 def _reader(path):
     """Binary reader of a file's contents, gunzipped if the file starts
-    with the gzip magic bytes."""
+    with the gzip magic bytes. Damaged gzip data is a FormatError."""
     with open(path, "rb") as f:
         if f.peek(2)[:2] == b"\x1f\x8b":
             with gzip.GzipFile(fileobj=f) as gz:
-                yield gz
+                try:
+                    yield gz
+                except _DAMAGED as e:
+                    raise FormatError(f"damaged gzip data ({e})") from None
         else:
             yield f
 
@@ -148,17 +155,21 @@ def _lines(f):
     is held back until a later line shows it is not trailing, so
     trailing blank lines are never yielded. Held blank lines are
     yielded before the next line is decoded, so a fault on a blank line
-    comes before an undecodable byte further down."""
-    blanks = 0
-    for n, raw in enumerate(f, 1):
-        text = raw.removesuffix(b"\n").removesuffix(b"\r")
-        if not (text.removeprefix(codecs.BOM_UTF8) if n == 1 else text):
-            blanks += 1
-            continue
-        yield from repeat("", blanks)
-        blanks = 0
-        line = _utf8(raw, n, "utf-8-sig" if n == 1 else "utf-8")
-        yield line.removesuffix("\n").removesuffix("\r")
+    comes before an undecodable byte further down. Damaged gzip data is
+    a FormatError naming the line the reader had reached."""
+    blanks, n = 0, 0
+    try:
+        for n, raw in enumerate(f, 1):
+            text = raw.removesuffix(b"\n").removesuffix(b"\r")
+            if not (text.removeprefix(codecs.BOM_UTF8) if n == 1 else text):
+                blanks += 1
+                continue
+            yield from repeat("", blanks)
+            blanks = 0
+            line = _utf8(raw, n, "utf-8-sig" if n == 1 else "utf-8")
+            yield line.removesuffix("\n").removesuffix("\r")
+    except _DAMAGED as e:
+        raise FormatError(f"line {n + 1}: damaged gzip data ({e})") from None
 
 
 def _rows_per_block(K: int) -> int:

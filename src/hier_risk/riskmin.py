@@ -29,7 +29,7 @@ kernel risks themselves on every row that was re-ranked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from .taxonomy import Taxonomy
 
 __all__ = [
     "CostMatrix",
-    "RankedOutput",
     "Ranking",
     "build_cost_matrix",
     "conditional_risk",
@@ -106,40 +105,21 @@ class CostMatrix:
         return f"CostMatrix(K={self.K})"
 
 
-def _check_basis(basis: str) -> None:
-    if basis not in (LIKELIHOOD, RISK):
-        raise ValueError(f"unknown ranking basis {basis!r}")
-
-
-@dataclass
-class RankedOutput:
-    """Class ordering for one sample, best first.
-
-    ``permutation`` holds every class, or the first ``depth`` of them
-    for a row of a depth-limited batch. ``scores`` holds the values that
-    induced the permutation (likelihoods for the likelihood basis, risks
-    for the risk basis) for every class, indexed by class, not by rank.
-    Arrays may be views into batch results; treat them as read-only.
-    """
-
-    permutation: np.ndarray
-    scores: np.ndarray
-    basis: str = field(default=LIKELIHOOD)
-
-    def __post_init__(self):
-        _check_basis(self.basis)
-
-
 @dataclass(frozen=True, eq=False)
 class Ranking:
-    """Class orderings for a batch of samples, one row per sample.
+    """Class orderings, best class first, for a batch or for one sample.
 
-    ``permutation`` is (N, depth) int64, best class first in each row:
-    the first ``depth`` columns of the full ranking, depth K unless the
-    batch was ranked shallower. ``scores`` is the (N, K) float64 matrix
-    that induced it, indexed by class, not by rank, whatever the depth.
-    One basis covers every row. ``len()``, indexing and iteration give
-    per-row ``RankedOutput`` views; treat all arrays as read-only.
+    A batch holds ``permutation``, (N, depth) int64, one row per
+    sample: the first ``depth`` columns of the full ranking, depth K
+    unless the batch was ranked shallower. ``scores`` is the (N, K)
+    float64 matrix that induced it (likelihoods for the likelihood
+    basis, risks for the risk basis), indexed by class, not by rank,
+    whatever the depth. One sample's ranking holds one such row of
+    each, (depth,) and (K,). One basis covers every row. On a batch,
+    ``len()`` counts the samples, ``ranking[i]`` is sample i's ranking
+    and ``ranking[a:b]`` a batch of rows a..b; a one-sample ranking
+    has no rows, so ``len()``, indexing and iteration raise TypeError.
+    Arrays may be views into a larger ranking; treat them as read-only.
     """
 
     permutation: np.ndarray
@@ -147,13 +127,17 @@ class Ranking:
     basis: str = LIKELIHOOD
 
     def __post_init__(self):
-        _check_basis(self.basis)
+        if self.basis not in (LIKELIHOOD, RISK):
+            raise ValueError(f"unknown ranking basis {self.basis!r}")
 
     def __len__(self) -> int:
+        if self.permutation.ndim != 2:
+            raise TypeError("a one-sample Ranking has no rows")
         return self.permutation.shape[0]
 
-    def __getitem__(self, i: int) -> RankedOutput:
-        return RankedOutput(self.permutation[i], self.scores[i], self.basis)
+    def __getitem__(self, i) -> Ranking:
+        len(self)  # on one sample, rank i's class is not class i's score
+        return Ranking(self.permutation[i], self.scores[i], self.basis)
 
 
 def build_cost_matrix(tax: Taxonomy) -> CostMatrix:
@@ -278,18 +262,18 @@ def crm_predict(p, C: CostMatrix) -> int:
     return int(np.argmin(conditional_risk(p, C)))
 
 
-def crm_rerank(p, C: CostMatrix) -> RankedOutput:
+def crm_rerank(p, C: CostMatrix) -> Ranking:
     """All classes sorted by ascending risk, ties by ascending index."""
     risks = conditional_risk(p, C)
     order = np.argsort(risks, kind="stable")
-    return RankedOutput(order.astype(np.int64), risks, RISK)
+    return Ranking(order.astype(np.int64), risks, RISK)
 
 
-def likelihood_rank(p) -> RankedOutput:
+def likelihood_rank(p) -> Ranking:
     """All classes by descending likelihood, ties by ascending index."""
     q = _check_prob_vector(p)
     order = np.argsort(-q, kind="stable")
-    return RankedOutput(order.astype(np.int64), q, LIKELIHOOD)
+    return Ranking(order.astype(np.int64), q, LIKELIHOOD)
 
 
 def _normalize_basis(basis: str) -> str:

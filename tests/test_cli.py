@@ -1,6 +1,9 @@
 import gzip
+import importlib
 import importlib.util
 import json
+import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,9 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hier_risk import (PredictionSet, build_cost_matrix, full_report,
-                       load_hierarchy, load_metrics_report, load_predictions,
-                       parse_taxonomy)
+import hier_risk
+from hier_risk import (FormatError, PredictionSet, build_cost_matrix,
+                       full_report, load_hierarchy, load_metrics_report,
+                       load_predictions, parse_taxonomy, save_metrics_report)
 from hier_risk.cli import main
 from hier_risk.dataio import PREDICTIONS_MAGIC, cost_matrix_to_csv
 from hier_risk.riskmin import Ranking, batch_apply, batch_crm_top1
@@ -378,6 +382,70 @@ def test_earlier_fault_wins_over_undecodable_bytes(tmp_path, capsys, line3,
         assert capsys.readouterr() == ("", f"error: line 3: {fault}\n")
 
 
+def damaged(data: bytes, how: str) -> bytes:
+    # A deflate stream cut short, or one with bytes 40-59 flipped; the
+    # gzip header is intact, so neither is caught as a bad header.
+    z = gzip.compress(data, mtime=0)
+    if how == "truncated":
+        return z[:len(z) // 2]
+    return z[:40] + bytes(b ^ 0xFF for b in z[40:60]) + z[60:]
+
+
+@pytest.mark.parametrize("how", ["truncated", "flipped"])
+@pytest.mark.parametrize("command, flag", [
+    ("eval", "--predictions"),
+    ("calibrate", "--val-predictions"),
+    ("build-costs", "--hierarchy"),
+])
+def test_damaged_gzip_input_exits_two(corpus, tmp_path, capsys, command,
+                                      flag, how):
+    # A prediction file names the line the reader had reached.
+    args = {
+        "eval": ["--hierarchy", corpus["hier"],
+                 "--predictions", corpus["preds"]],
+        "calibrate": ["--val-predictions", corpus["val"],
+                      "--predictions", corpus["preds"]],
+        "build-costs": ["--hierarchy", corpus["hier"]],
+    }[command]
+    at = args.index(flag) + 1
+    bad = tmp_path / "bad.gz"
+    bad.write_bytes(damaged(Path(args[at]).read_bytes(), how))
+    args[at] = str(bad)
+    assert main([command, *args]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    where = "" if flag == "--hierarchy" else r"line \d+: "
+    assert re.fullmatch(f"error: {where}damaged gzip data \\(.+\\)\n", err)
+    if command == "eval":
+        # Report loaders read through the same opener.
+        report = tmp_path / "r.json"
+        tax = load_hierarchy(corpus["hier"])
+        preds = load_predictions(corpus["preds"], tax)
+        save_metrics_report(full_report(preds, tax, "crm", k_list=(1, 5)),
+                            report)
+        report.write_bytes(damaged(report.read_bytes(), how))
+        with pytest.raises(FormatError, match="damaged gzip data"):
+            load_metrics_report(report)
+
+
+def test_earlier_fault_wins_over_damaged_gzip(tmp_path, capsys):
+    # As with undecodable bytes: line 3's fault is named, though the
+    # stream is cut thousands of lines further down the same block.
+    hier, preds = tmp_path / "h.tsv", tmp_path / "p.csv"
+    hier.write_text("a\tr\nb\tr\n")
+    x = np.random.default_rng(3).random(5000).tolist()
+    rows = "".join(f"a,{v!r},{1 - v!r}\n" for v in x).encode()
+    for line3, fault in ((b"a,0.5,0.5", r"line \d{2,}: damaged gzip data"),
+                         (b"a,0.5,oops", "line 3: invalid number 'oops'")):
+        preds.write_bytes(damaged(PREDICTIONS_MAGIC.encode() + b"\ntruth,a,b\n"
+                                  + line3 + b"\n" + rows, "truncated"))
+        for args in (["eval", "--hierarchy", str(hier)],
+                     ["calibrate", "--val-predictions", str(preds)]):
+            assert main([*args, "--predictions", str(preds)]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and re.match(f"error: {fault}", err), err
+
+
 def test_shuffle_eval_json_frozen(tmp_path, capsys):
     # The second row is an argmax mistake that CRM amends within the p2 branch,
     # so the two bases differ on the original tree.
@@ -482,22 +550,38 @@ def test_theorem1_check_fails_loudly(corpus, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("internal error:")
 
 
-def test_perfbench_trace_op_runs_eval(tmp_path, checkout_env):
-    # trace_op.py rebinds the CLI's names and calls batch_crm_top1 with
-    # threads=; run it end to end so a signature change shows here.
+@pytest.mark.parametrize("command", ["eval", "calibrate", "shuffle-eval"])
+def test_perfbench_trace_op_runs_eval(tmp_path, checkout_env, command):
+    # trace_op.py rebinds the CLI's names, walks every row of each
+    # ranking and calls batch_crm_top1 with threads=; run it end to end
+    # on each ranking subcommand so a change to either shows here.
     root = Path(__file__).resolve().parent.parent
     h, p = str(tmp_path / "h.tsv"), str(tmp_path / "p.csv")
     assert main(["simulate", "--seed", "4", "--classes", "16",
                  "--samples", "200", "--tree-mode", "random-attachment",
                  "--out-predictions", p, "--out-hierarchy", h]) == 0
+    args = {
+        "eval": ["--hierarchy", h, "--basis", "crm", "--k", "1,5"],
+        "calibrate": ["--val-predictions", p, "--source", "crm-selected",
+                      "--hierarchy", h],
+        "shuffle-eval": ["--hierarchy", h, "--seed", "1", "--k", "1,5"],
+    }[command]
     spans = tmp_path / "spans.json"
     res = subprocess.run(
         [sys.executable, str(root / "perfbench" / "trace_op.py"),
-         str(spans), "--", "eval", "--hierarchy", h, "--predictions", p,
-         "--basis", "crm", "--k", "1,5", "--threads", "2",
-         "--out", str(tmp_path / "m.json")],
+         str(spans), "--", command, *args, "--predictions", p,
+         "--threads", "2", "--out", str(tmp_path / "m.json")],
         env=checkout_env, capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     doc = json.loads(spans.read_text())
     assert doc["rc"] == 0
     assert {"riskmin.crm_top1", "riskmin.rank"} <= set(doc["totals"])
+
+
+def test_every_exported_name_resolves():
+    # A public name removed from a module must leave its __all__ too.
+    modules = [hier_risk] + [importlib.import_module(f"hier_risk.{m.name}")
+                             for m in pkgutil.iter_modules(hier_risk.__path__)]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), (module.__name__, name)

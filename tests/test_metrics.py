@@ -11,6 +11,7 @@ from hier_risk import (PredictionSet, Ranking, SynthConfig,
                        parse_taxonomy, severity_histogram,
                        severity_over_all, severity_over_mistakes,
                        top1_error)
+from hier_risk.metrics import Evaluation
 
 TWO_BRANCH = parse_taxonomy(
     "a\tp1\nb\tp1\nc\tp2\nd\tp2\np1\troot\np2\troot\n")
@@ -171,6 +172,16 @@ def test_full_report_is_invariant_to_row_order():
     for basis in ("crm", "likelihood"):
         assert (full_report(shuffled, tax, basis, k_list=(1, 3, 7))
                 == full_report(same, tax, basis, k_list=(1, 3, 7)))
+
+
+def test_counting_a_ranking_in_slices_matches_counting_it_whole():
+    tax, preds = synth(seed=5, N=40)
+    ranking = batch_apply(preds, build_cost_matrix(tax), "crm")
+    whole, split = (Evaluation(tax, "crm", (1, 3)) for _ in range(2))
+    whole.count(ranking, preds.truth)
+    split.count(ranking[:15], preds.truth[:15])
+    split.count(ranking[15:], preds.truth[15:])
+    assert split.report() == whole.report()
 
 
 def test_full_report_dedupes_and_sorts_k_list():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hier_risk import (CostMatrix, PredictionSet, RankedOutput, Ranking,
+from hier_risk import (CostMatrix, PredictionSet, Ranking,
                        SynthConfig, batch_apply, batch_crm_top1,
                        build_cost_matrix, conditional_risk, crm_predict,
                        crm_rerank, gen_predictions, gen_taxonomy,
@@ -181,15 +182,15 @@ def test_flat_costs_reduce_to_likelihood_order():
 
 
 def test_ranked_output_rejects_unknown_basis():
-    for cls, perm, scores in ((RankedOutput, [0, 1], [0.6, 0.4]),
-                              (Ranking, [[0, 1]], [[0.6, 0.4]])):
+    for perm, scores in (([0, 1], [0.6, 0.4]), ([[0, 1]], [[0.6, 0.4]])):
         with pytest.raises(ValueError, match="basis"):
-            cls(np.array(perm), np.array(scores), "alphabetical")
+            Ranking(np.array(perm), np.array(scores), "alphabetical")
 
 
 def test_ranking_rows_are_ranked_output_views():
     # Callers that walk a batch row by row (truth tests, len, indexing,
-    # iteration) see one RankedOutput per sample.
+    # iteration) see each row as one sample's Ranking; a slice is a
+    # sub-batch.
     tax, preds = synth_batch(13, 5, 7)
     ranking = batch_apply(preds, build_cost_matrix(tax), "crm")
     assert ranking.permutation.shape == ranking.scores.shape == (7, 5)
@@ -199,10 +200,28 @@ def test_ranking_rows_are_ranked_output_views():
     assert len(rows) == 7
     for i, row in enumerate(rows):
         for view in (row, ranking[i]):
-            assert isinstance(view, RankedOutput)
+            assert isinstance(view, Ranking)
             assert view.basis == ranking.basis == RISK
             assert np.array_equal(view.permutation, ranking.permutation[i])
             assert np.array_equal(view.scores, ranking.scores[i])
+    part = ranking[2:5]
+    assert isinstance(part, Ranking) and len(part) == 3
+    assert part.basis == RISK
+    assert np.array_equal(part.permutation, ranking.permutation[2:5])
+    assert np.array_equal(part.scores, ranking.scores[2:5])
+
+
+def test_one_sample_ranking_has_no_rows():
+    # Indexing one sample's ranking would pair rank i's class with
+    # class i's score, so it is refused, as are len() and iteration.
+    p = [0.5, 0.25, 0.25]
+    for r in (crm_rerank(p, FLAT3), likelihood_rank(p),
+              Ranking(np.array([1, 0]), np.array([0.4, 0.6]))):
+        for read in (lambda r: r[0], list, len):
+            with pytest.raises(TypeError):
+                read(r)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.basis = RISK
 
 
 def test_side_door_costs_get_the_full_risk_argmin():
@@ -254,6 +273,7 @@ def test_batch_apply_matches_single_sample_calls():
                 single = crm_rerank(probs[i], C)
             else:
                 single = likelihood_rank(probs[i])
+            assert isinstance(single, Ranking)
             assert batch[i].basis == basis
             assert np.array_equal(batch[i].permutation, single.permutation)
             assert np.array_equal(batch[i].scores, single.scores)
