@@ -11,13 +11,17 @@ accepted and ignored; it stays because perfbench/run.py passes it.
 eval, calibrate and shuffle-eval rank and reduce one block of rows at a
 time: eval and shuffle-eval hold one block plus integer tallies,
 calibrate the validation split plus one test block and per-bin totals.
+Each checks its flags, the hierarchy, the headers and the tables it needs
+(calibrate: the validation split and its fit) before it reads a row of
+the file it streams, then reports the first fault there in file order.
+Without --k, eval and shuffle-eval report the depths of 1,5,20 that are
+at most the class count.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from itertools import chain
 
 # bin_confidences, cost_matrix_to_csv and full_report are not called here;
 # they stay bound because perfbench/trace_op.py rebinds them.
@@ -62,22 +66,10 @@ def _cmd_build_costs(args) -> None:
     save_cost_matrix(C, args.out or sys.stdout.buffer)
 
 
-def _checked(blocks, error: Exception) -> Exception:
-    """``error``, once every row of ``blocks`` has been checked: a fault
-    in the file is named first, as when files were read whole. Flags,
-    headers and tables are checked or built before any row is ranked."""
-    for _ in blocks:
-        pass
-    return error
-
-
 def _cmd_eval(args) -> str:
     tax = load_hierarchy(args.hierarchy)
     _, blocks = read_predictions(args.predictions, tax)
-    try:
-        ev = Evaluation(tax, args.basis, args.k)
-    except (ValueError, MemoryError) as e:
-        raise _checked(blocks, e)
+    ev = Evaluation(tax, args.basis, args.k)
     check = args.theorem1_fastpath and args.basis == "crm"
     for block in blocks:
         ranked = ev.add(block)
@@ -100,30 +92,24 @@ def _cmd_calibrate(args) -> str:
     val = load_predictions(args.val_predictions, tax)
     names, blocks = read_predictions(args.predictions, tax)
     if tax is None and val.class_names != names:
-        raise _checked(blocks, ValueError(
-            "validation and test files disagree on class order; "
-            "pass --hierarchy to align them by name"
-        ))
-    first = next(blocks, None)
-    if first is None:
-        raise ValueError("test prediction file has no rows")
-    basis, C = "likelihood", None
-    try:
-        temperature = fit_temperature(val)
-        if args.source == "crm-selected":
-            basis, C = "crm", build_cost_matrix(tax)
-    except (ValueError, MemoryError) as e:
-        raise _checked(blocks, e)
+        raise ValueError("validation and test files disagree on class "
+                         "order; pass --hierarchy to align them by name")
+    temperature = fit_temperature(val)
     del val
+    basis, C = "likelihood", None
+    if args.source == "crm-selected":
+        basis, C = "crm", build_cost_matrix(tax)
     # Each test block is binned at rank 0 before and after scaling, which
     # is row-wise, then dropped.
     pre = BinTally(args.bins, args.source)
     post = BinTally(args.bins, args.source)
-    for block in chain([first], blocks):
+    for block in blocks:
         pre.add(block, batch_apply(block, C, basis, depth=1))
         block = PredictionSet(apply_temperature(block.probs, temperature),
                               block.truth, names, _adopt=True)
         post.add(block, batch_apply(block, C, basis, depth=1))
+    if pre.n == 0:
+        raise ValueError("test prediction file has no rows")
     bins_pre, bins_post = pre.bins(), post.bins()
     report = CalibrationReport(
         ece_pre=ece(bins_pre), ece_post=ece(bins_post),
@@ -137,12 +123,9 @@ def _cmd_shuffle_eval(args) -> str:
     tax = load_hierarchy(args.hierarchy)
     trees = {"original": tax, "shuffled": shuffle_leaves(tax, args.seed)}
     _, blocks = read_predictions(args.predictions, tax)
-    try:
-        evals = {basis: {name: Evaluation(t, basis, args.k)
-                         for name, t in trees.items()}
-                 for basis in ("likelihood", "crm")}
-    except (ValueError, MemoryError) as e:
-        raise _checked(blocks, e)
+    evals = {basis: {name: Evaluation(t, basis, args.k)
+                     for name, t in trees.items()}
+             for basis in ("likelihood", "crm")}
     for block in blocks:
         # Both trees list the same classes and likelihoods read no costs.
         ranked = evals["likelihood"]["original"].add(block)
@@ -174,6 +157,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "evaluation for classifier likelihoods.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    k_help = ("comma-separated list of ranking depths (default: those of "
+              f"{','.join(map(str, DEFAULT_K_LIST))} that are at most the "
+              "class count)")
 
     def add_common(p, out=True, threads=False):
         if out:
@@ -195,8 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hierarchy", required=True)
     p.add_argument("--predictions", required=True)
     p.add_argument("--basis", choices=("likelihood", "crm"), default="crm")
-    p.add_argument("--k", type=_k_list, default=list(DEFAULT_K_LIST),
-                   help="comma-separated list of ranking depths")
+    p.add_argument("--k", type=_k_list, help=k_help)
     p.add_argument("--theorem1-fastpath", action="store_true",
                    help="check Theorem 1 on the certified top-1: every "
                         "row with max p > 0.5 keeps its argmax; ignored "
@@ -225,7 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hierarchy", required=True)
     p.add_argument("--predictions", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--k", type=_k_list, default=list(DEFAULT_K_LIST))
+    p.add_argument("--k", type=_k_list, help=k_help)
     add_common(p, threads=True)
     p.set_defaults(func=_cmd_shuffle_eval)
 

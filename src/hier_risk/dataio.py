@@ -294,21 +294,17 @@ def _blocks(path, taxonomy):
             probs, truth = _parse_rows(rows, line, K, label_to_idx)
             if cut is None and off is None:
                 probs = probs if same else probs.take(to_tax, axis=1)
-                try:
-                    block = PredictionSet(probs, truth, tax_names,
-                                          _adopt=True)
-                except ValueError:
+                fault = validate_rows(probs)
+                if fault is None:
+                    yield _passed(probs, truth, tax_names)
+                else:
                     # Every entry has passed, so a row sum is off: name
                     # the first one, summed in file order, once every
                     # later line has passed too.
-                    fault = validate_rows(probs[:, np.argsort(to_tax)])
-                    if fault is None:
-                        raise
+                    fault = (validate_rows(probs[:, np.argsort(to_tax)])
+                             or fault)
                     off = FormatError(f"line {line + fault[1]}: row "
                                       f"{fault[0]}")
-                else:
-                    yield block
-                    del block
             line += len(rows)
             del rows, probs  # before the next block is read
         if cut or off:

@@ -61,6 +61,8 @@ class MetricsReport:
 
 
 def _sorted_ks(k_list, K: int) -> list[int]:
+    if k_list is None:
+        return [k for k in DEFAULT_K_LIST if k <= K]
     ks = sorted({int(k) for k in k_list})
     if not ks:
         raise ValueError("k_list must not be empty")
@@ -82,9 +84,11 @@ class Evaluation:
     over the blocks of rows added so far, so the report does not depend
     on the block split. ``add`` ranks a block to the largest k with the
     cost matrix built once here; ``count`` takes a ranking made elsewhere.
+    ``k_list=None`` means the entries of ``DEFAULT_K_LIST`` that are at
+    most K; an explicit list must lie in [1, K].
     """
 
-    def __init__(self, tax: Taxonomy, basis: str, k_list=DEFAULT_K_LIST):
+    def __init__(self, tax: Taxonomy, basis: str, k_list=None):
         self.ks = _sorted_ks(k_list, tax.K)
         self.basis = _normalize_basis(basis)
         self.names = tax.class_names
@@ -191,9 +195,10 @@ def metric_flaw_check(d_h, m, d_l, n) -> bool:
 
 
 def full_report(preds: PredictionSet, tax: Taxonomy, basis: str,
-                k_list=DEFAULT_K_LIST) -> MetricsReport:
+                k_list=None) -> MetricsReport:
     """All metrics from one ranking of the batch, to the largest k: an
-    :class:`Evaluation` of one block."""
+    :class:`Evaluation` of one block, so ``k_list=None`` means the
+    entries of ``DEFAULT_K_LIST`` that are at most K."""
     ev = Evaluation(tax, basis, k_list)
     ev.add(preds)
     return ev.report()

@@ -18,7 +18,7 @@ import numpy as np
 
 from .predictions import PredictionSet
 from .riskmin import CostMatrix
-from .taxonomy import Taxonomy, parse_taxonomy
+from .taxonomy import Taxonomy, _check_seed, parse_taxonomy
 
 __all__ = [
     "SynthConfig",
@@ -53,6 +53,7 @@ class SynthConfig:
     tree_mode: str = "flat"
 
     def __post_init__(self):
+        _check_seed(self.seed)
         if self.K < 2:
             raise ValueError("K must be >= 2")
         if self.K > 9999:

@@ -112,12 +112,12 @@ class Taxonomy:
         return list(self._children[node])
 
     def depths(self) -> list[int]:
-        """Edge count from the root, per node (root depth 0)."""
-        return self._depths
+        """Edge count from the root, per node (root depth 0), as a copy."""
+        return list(self._depths)
 
     def heights(self) -> list[int]:
-        """Edge count to the furthest descendant leaf, per node."""
-        return self._heights
+        """Edge count to the furthest descendant leaf, per node, as a copy."""
+        return list(self._heights)
 
     def max_leaf_depth(self) -> int:
         return max(self._depths[leaf] for leaf in self.leaves)
@@ -252,7 +252,7 @@ def node_height(tax: Taxonomy, node: int) -> int:
     """Height of a node: edges to its furthest descendant leaf."""
     if not 0 <= node < tax.n_nodes:
         raise ValueError(f"node index {node} out of range")
-    return tax.heights()[node]
+    return tax._heights[node]
 
 
 def lca_height(tax: Taxonomy, i: int, j: int) -> int:
@@ -274,7 +274,7 @@ def collapse_to_depth(tax: Taxonomy, depth: int) -> dict[int, int]:
         raise TaxonomyError(
             f"depth {depth} out of range [0, {tax.max_leaf_depth()}]"
         )
-    d = tax.depths()
+    d = tax._depths
     mapping: dict[int, int] = {}
     for k, leaf in enumerate(tax.leaves):
         node = leaf
@@ -282,6 +282,11 @@ def collapse_to_depth(tax: Taxonomy, depth: int) -> dict[int, int]:
             node = tax.parent[node]
         mapping[k] = node
     return mapping
+
+
+def _check_seed(seed) -> None:
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
 
 def shuffle_leaves(tax: Taxonomy, seed: int) -> Taxonomy:
@@ -295,6 +300,7 @@ def shuffle_leaves(tax: Taxonomy, seed: int) -> Taxonomy:
     positions t and j. This exact procedure is part of the contract so
     shuffled runs are reproducible bit for bit.
     """
+    _check_seed(seed)
     rng = np.random.Generator(np.random.PCG64(seed))
     K = tax.K
     perm = list(range(K))

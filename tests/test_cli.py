@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import hier_risk
+from hier_risk import dataio
 from hier_risk import (FormatError, PredictionSet, build_cost_matrix,
                        full_report, load_hierarchy, load_metrics_report,
                        load_predictions, parse_taxonomy, save_metrics_report)
@@ -117,10 +118,13 @@ def test_calibrate_rejects_empty_test_split(corpus, tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     names = load_predictions(corpus["preds"]).class_names
     empty.write_text(PREDICTIONS_MAGIC + "\ntruth," + ",".join(names) + "\n")
-    code = main(["calibrate", "--val-predictions", corpus["val"],
-                 "--predictions", str(empty)])
-    assert code == 2
-    assert "no rows" in capsys.readouterr().err
+    for source in ([], ["--source", "crm-selected",
+                        "--hierarchy", corpus["hier"]]):
+        code = main(["calibrate", "--val-predictions", corpus["val"],
+                     "--predictions", str(empty), *source])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", "error: test prediction file has no rows\n")
 
 
 def test_shuffle_eval_nested_report(corpus, capsys):
@@ -213,6 +217,13 @@ def test_simulate_validates_config(tmp_path, capsys):
                  "--out-hierarchy", str(tmp_path / "h.tsv")])
     assert code == 2
     assert "power of 2" in capsys.readouterr().err
+    code = main(["simulate", "--seed", "-5", "--classes", "4",
+                 "--samples", "5",
+                 "--out-predictions", str(tmp_path / "p.csv"),
+                 "--out-hierarchy", str(tmp_path / "h.tsv")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: seed must be a non-negative integer, got -5\n")
 
 
 def test_module_entry_point_runs(tmp_path, checkout_env):
@@ -380,6 +391,71 @@ def test_earlier_fault_wins_over_undecodable_bytes(tmp_path, capsys, line3,
                  ["calibrate", "--val-predictions", str(preds)]):
         assert main([*args, "--predictions", str(preds)]) == 2
         assert capsys.readouterr() == ("", f"error: line 3: {fault}\n")
+
+
+@pytest.mark.parametrize("command, val_header, extra, message", [
+    ("eval", None, ["--k", "1,99"], "k_list entries must lie in [1, 4]"),
+    ("shuffle-eval", None, ["--seed", "0", "--k", "1,99"],
+     "k_list entries must lie in [1, 4]"),
+    ("shuffle-eval", None, ["--seed", "-1"],
+     "seed must be a non-negative integer, got -1"),
+    ("calibrate", "truth,b,a,c,d\n", [],
+     "validation and test files disagree on class order; pass "
+     "--hierarchy to align them by name"),
+    ("calibrate", "truth,a,b,c,d\n", [],
+     "cannot fit a temperature on an empty set"),
+], ids=["eval-k", "shuffle-eval-k", "shuffle-eval-seed", "calibrate-order",
+        "calibrate-empty-val"])
+def test_flag_errors_come_before_the_rows(tmp_path, capsys, monkeypatch,
+                                          command, val_header, extra,
+                                          message):
+    # Line 3 of the prediction file is malformed, yet the flag or
+    # validation-split fault is named, and no data row is parsed first.
+    # The validation files have a header and no rows.
+    hier, preds = tmp_path / "h.tsv", tmp_path / "p.csv"
+    hier.write_text(SHUFFLE_HIER)
+    preds.write_text(SHUFFLE_PREDS.replace("a,0.4,0.1,0.3,0.2",
+                                           "a,0.5,oops,0.25,0.25"))
+    if command == "calibrate":
+        val = tmp_path / "v.csv"
+        val.write_text(PREDICTIONS_MAGIC + "\n" + val_header)
+        args = ["--val-predictions", str(val)]
+    else:
+        args = ["--hierarchy", str(hier)]
+    argv = [command, *args, "--predictions", str(preds), *extra]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def unread(*a):
+        raise AssertionError("a data row was parsed")
+
+    with monkeypatch.context() as m:
+        m.setattr(dataio, "_parse_rows", unread)
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    with pytest.raises(FormatError, match="^line 3: invalid number"):
+        load_predictions(preds)
+
+
+@pytest.mark.parametrize("K, ks", [(4, [1]), (8, [1, 5]), (32, [1, 5, 20])])
+def test_default_k_list_fits_the_tree(tmp_path, capsys, K, ks):
+    h, p = str(tmp_path / "h.tsv"), str(tmp_path / "p.csv")
+    assert main(["simulate", "--seed", "2", "--classes", str(K),
+                 "--samples", "40", "--tree-mode", "balanced-binary",
+                 "--out-predictions", p, "--out-hierarchy", h]) == 0
+    for command, extra in (("eval", []), ("shuffle-eval", ["--seed", "1"])):
+        args = [command, "--hierarchy", h, "--predictions", p, *extra]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        reports = json.loads(out)
+        for rep in (reports["crm"].values() if command == "shuffle-eval"
+                    else [reports]):
+            assert [int(k) for k in rep["distance_at_k"]] == ks
+        assert main([*args, "--k", ",".join(map(str, ks))]) == 0
+        assert capsys.readouterr().out == out
+    tax = load_hierarchy(h)
+    preds = load_predictions(p, tax)
+    assert list(full_report(preds, tax, "crm").distance_at_k) == ks
 
 
 def damaged(data: bytes, how: str) -> bytes:

@@ -20,6 +20,9 @@ def test_config_validation():
                          ("truth_mode", "noisy"), ("tree_mode", "star")):
         with pytest.raises(ValueError):
             SynthConfig(**{**good, field: value})
+    with pytest.raises(ValueError, match="^seed must be a non-negative "
+                                         "integer, got -5$"):
+        SynthConfig(**{**good, "seed": -5})
 
 
 def test_flat_tree_shape():

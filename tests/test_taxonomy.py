@@ -269,6 +269,21 @@ def test_shuffle_is_deterministic_and_structure_preserving():
     assert s1.parent == tax.parent
     assert sorted(s1.names) == sorted(tax.names)
     assert shuffle_leaves(tax, 1).names != s1.names
+    with pytest.raises(ValueError, match="^seed must be a non-negative "
+                                         "integer, got -1$"):
+        shuffle_leaves(tax, -1)
+
+
+def test_returned_tables_are_copies():
+    # Writing into depths() or heights() must not reach the tree's own
+    # tables, which node_height, max_leaf_depth and the LCA table read.
+    tax = parse_taxonomy("a\tx\nb\tx\nc\tr\nx\tr\n")
+    tax.heights()[tax.root] = 7
+    tax.depths()[tax.leaves[0]] = 9
+    assert node_height(tax, tax.root) == 2
+    assert tax.max_leaf_depth() == 2
+    assert build_cost_matrix(tax).entries.max() == 2
+    assert tax.heights()[tax.root] == 2
 
 
 def test_shuffle_conjugates_the_cost_matrix():
