@@ -25,7 +25,9 @@ identical runs produce identical bytes. ``shuffle-eval`` nests its four
 metrics reports under basis, then tree. Loading rejects unknown and
 missing fields and any value of the wrong kind; integers (``n_mistakes``
 and histogram counts) must be JSON integers, numbers must be finite, and
-int keys must read as the emitter writes them (``str(int(k))``).
+int keys must read as the emitter writes them (``str(int(k))``). A
+byte-order mark is dropped, and a JSON syntax fault is a FormatError
+naming its line and column.
 """
 
 from __future__ import annotations
@@ -181,45 +183,41 @@ def _rows_per_block(K: int) -> int:
 
 
 def _parse_rows(lines, first: int, K: int, label_to_idx):
-    """Values and truth indices of data lines, the first of them line
-    ``first`` of the file, or the first fault among them in file order."""
-    n = len(lines)
-    probs = np.empty((n, K), dtype=np.float64)
-    truth = np.empty(n, dtype=np.int64)
-
-    def located(what: str, r: int, c: int) -> FormatError:
-        tok = lines[r].split(",")[c + 1]
-        what = what.replace("non-finite probability", "non-finite value")
-        return FormatError(f"line {first + r}: {what} {tok!r}")
-
-    def fail(r: int, message: str, parsed: int = 0):
-        # Values read before this fault come first in file order.
-        fault = validate_rows(probs.reshape(1, -1)[:, :r * K + parsed],
-                              sums=False)
-        if fault:
-            raise located(fault[0], *divmod(fault[2], K)) from None
-        raise FormatError(f"line {first + r}: {message}") from None
-
+    """Values and truth indices of the data lines before the first
+    faulty one, the first of them line ``first`` of the file, and that
+    line's fault, or None. Per line: the field count, the truth label,
+    then each token left to right (it parses, is finite, is >= 0)."""
+    probs = np.empty((len(lines), K), dtype=np.float64)
+    truth = np.empty(len(lines), dtype=np.int64)
+    n, parsed, fault = len(lines), 0, None
     for r, line in enumerate(lines):
         parts = line.split(",")
         if len(parts) != K + 1:
-            fail(r, f"expected {K + 1} fields, got {len(parts)}")
+            n, fault = r, f"expected {K + 1} fields, got {len(parts)}"
+            break
         idx = label_to_idx.get(parts[0])
         if idx is None:
-            fail(r, f"unknown truth label {parts[0]!r}")
+            n, fault = r, f"unknown truth label {parts[0]!r}"
+            break
         truth[r] = idx
         try:
             probs[r] = [float(tok) for tok in parts[1:]]
         except ValueError:
-            for c, tok in enumerate(parts[1:]):
+            for parsed, tok in enumerate(parts[1:]):
                 try:
-                    probs[r, c] = float(tok)
+                    probs[r, parsed] = float(tok)
                 except ValueError:
-                    fail(r, f"invalid number {tok!r}", c)
-    fault = validate_rows(probs, sums=False)
-    if fault:
-        raise located(*fault)
-    return probs, truth
+                    n, fault = r, f"invalid number {tok!r}"
+                    break
+            break
+    # Values read before a parse fault come first in file order.
+    bad = validate_rows(probs.reshape(1, -1)[:, :n * K + parsed], sums=False)
+    if bad:
+        n, c = divmod(bad[2], K)
+        what = bad[0].replace("non-finite probability", "non-finite value")
+        fault = f"{what} {lines[n].split(',')[c + 1]!r}"
+    return probs[:n], truth[:n], fault and FormatError(
+        f"line {first + n}: {fault}")
 
 
 def read_predictions(path, taxonomy: Taxonomy | None = None):
@@ -233,11 +231,11 @@ def read_predictions(path, taxonomy: Taxonomy | None = None):
     order stands and truth labels must appear in the header.
 
     Rows obey the row rule of :mod:`.predictions`, each row checked and
-    renormalized once. The first fault in file order is reported with
-    its line: per data line the field count, the truth label, then each
-    token left to right (it must parse, be finite and be >= 0), and
-    undecodable bytes. A row sum that is off is raised only once every
-    later line has passed those checks. Nothing is yielded after a fault.
+    renormalized once. The first faulty line in file order is reported,
+    from the block that holds it: per data line the field count, the
+    truth label, each token left to right (it must parse, be finite and
+    be >= 0), then the row sum. An undecodable byte or damaged gzip data
+    is a fault at its line. Nothing is yielded after a fault.
     """
     blocks = _blocks(path, taxonomy)
     return next(blocks), blocks
@@ -276,39 +274,33 @@ def _blocks(path, taxonomy):
                     f"(missing {missing}, unexpected {extra})"
                 )
             label_to_idx = taxonomy.leaf_order
-        # Each block is re-mapped onto taxonomy order once its entries
-        # have passed, by take, whose copy is C-ordered.
+        # Each block's clean rows are re-mapped onto taxonomy order by
+        # take, whose copy is C-ordered.
         to_tax = np.array([column[n] for n in tax_names], dtype=np.int64)
         same = names == tax_names
         yield tax_names
 
-        step, line, cut, off = _rows_per_block(K), 3, None, None
-        while cut is None:
-            rows = []
+        step, line = _rows_per_block(K), 3
+        while True:
+            rows, cut = [], None
             try:
                 rows.extend(islice(lines, step))
             except FormatError as e:
                 cut = e  # undecodable: the lines before it are checked first
-            if not rows:
-                break
-            probs, truth = _parse_rows(rows, line, K, label_to_idx)
-            if cut is None and off is None:
-                probs = probs if same else probs.take(to_tax, axis=1)
-                fault = validate_rows(probs)
-                if fault is None:
-                    yield _passed(probs, truth, tax_names)
-                else:
-                    # Every entry has passed, so a row sum is off: name
-                    # the first one, summed in file order, once every
-                    # later line has passed too.
-                    fault = (validate_rows(probs[:, np.argsort(to_tax)])
-                             or fault)
-                    off = FormatError(f"line {line + fault[1]}: row "
-                                      f"{fault[0]}")
+            if not rows and cut is None:
+                return
+            probs, truth, fault = _parse_rows(rows, line, K, label_to_idx)
+            probs = probs if same else probs.take(to_tax, axis=1)
+            off = validate_rows(probs)
+            if off:
+                # Name the first row whose sum is off, summed in file order.
+                off = validate_rows(probs[:, np.argsort(to_tax)]) or off
+                raise FormatError(f"line {line + off[1]}: row {off[0]}")
+            if fault or cut:
+                raise fault or cut
+            yield _passed(probs, truth, tax_names)
             line += len(rows)
             del rows, probs  # before the next block is read
-        if cut or off:
-            raise cut or off
 
 
 def load_predictions(path, taxonomy: Taxonomy | None = None) -> PredictionSet:
@@ -461,7 +453,12 @@ def _decode(kind: str, v, field: str):
 
 def _load_report(path, cls, what: str):
     with _reader(path) as f:
-        obj = json.loads(_utf8(f.read()))
+        text = _utf8(f.read(), codec="utf-8-sig")
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise FormatError(f"line {e.lineno}, column {e.colno}: {what} is "
+                          f"not valid JSON ({e.msg})") from None
     if not isinstance(obj, dict):
         raise FormatError(f"{what} must be a JSON object")
     layout = _LAYOUTS[cls]

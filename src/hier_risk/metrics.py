@@ -63,7 +63,12 @@ class MetricsReport:
 def _sorted_ks(k_list, K: int) -> list[int]:
     if k_list is None:
         return [k for k in DEFAULT_K_LIST if k <= K]
-    ks = sorted({int(k) for k in k_list})
+    ks = set()
+    for k in k_list:
+        if k != int(k):
+            raise ValueError(f"k_list entries must be integers, got {k!r}")
+        ks.add(int(k))
+    ks = sorted(ks)
     if not ks:
         raise ValueError("k_list must not be empty")
     if ks[0] < 1 or ks[-1] > K:
@@ -72,9 +77,16 @@ def _sorted_ks(k_list, K: int) -> list[int]:
 
 
 def _as_truth(ranked: Ranking, truth) -> np.ndarray:
+    """Truth labels as int64 class indices, one per ranked sample, each
+    in [0, K) for the K classes the ranking scores."""
     t = np.asarray(truth, dtype=np.int64)
     if t.ndim != 1 or len(ranked) != t.shape[0]:
         raise ValueError("ranked outputs and truth labels differ in length")
+    K = ranked.scores.shape[-1]
+    bad = (t < 0) | (t >= K)
+    if bad.any():
+        raise ValueError(f"truth label {int(t[np.argmax(bad)])} outside "
+                         f"[0, {K})")
     return t
 
 

@@ -64,6 +64,9 @@ class Taxonomy:
             raise TaxonomyError("names and parent lists differ in length")
         if len(set(self.names)) != n:
             raise TaxonomyError("node names must be unique")
+        bad = [p for p in self.parent if not -1 <= p < n]
+        if bad:
+            raise TaxonomyError(f"parent index {bad[0]} outside [-1, {n})")
         roots = [i for i, p in enumerate(self.parent) if p < 0]
         if len(roots) != 1:
             raise TaxonomyError("taxonomy requires exactly one root")

@@ -161,7 +161,8 @@ def test_prediction_format_errors_carry_line_numbers(tmp_path):
         (PREDICTIONS_MAGIC + "\ntruth,a,b\na,-1,2\nb,0.5\n",
          r"^line 3: negative probability '-1'$"),
         (PREDICTIONS_MAGIC + "\ntruth,a,b\na,0.9,0.2\nb,0.5,oops\n",
-         r"^line 4: invalid number 'oops'$"),
+         r"^line 3: row probabilities sum to 1\.1, "
+         r"outside the 1e-6 tolerance$"),
     ]
     for body, pattern in cases:
         with pytest.raises(FormatError, match=pattern):
@@ -305,6 +306,28 @@ def test_report_loader_rejects_bad_documents(tmp_path):
         path.write_text(json.dumps(dict(calibration, temperature=value)))
         with pytest.raises(FormatError, match="'temperature' must be finite"):
             load_calibration_report(path)
+
+
+def test_report_loaders_read_json_syntax_faults_and_a_bom(tmp_path):
+    path = tmp_path / "m.json"
+    text = metrics_report_to_json(sample_metrics_report())
+    # A report cut short is a FormatError naming its line and column.
+    path.write_text(text[:40])
+    with pytest.raises(FormatError, match=r"^line \d+, column \d+: metrics "
+                                          r"report is not valid JSON \("):
+        load_metrics_report(path)
+    path.write_text('{"ece_pre": 0.1,')
+    with pytest.raises(FormatError, match=r"^line 1, column 17: calibration "
+                                          r"report is not valid JSON \("):
+        load_calibration_report(path)
+    # A byte-order mark is dropped, as on hierarchy and prediction files,
+    # and an undecodable byte is named after it.
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert load_metrics_report(path) == sample_metrics_report()
+    path.write_bytes(b"\xef\xbb\xbf{\xff}")
+    with pytest.raises(FormatError, match=r"^line 1: not UTF-8 \(invalid "
+                                          r"start byte at byte 2\)$"):
+        load_metrics_report(path)
 
 
 def test_metrics_report_json_frozen():

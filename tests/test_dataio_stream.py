@@ -25,8 +25,8 @@ MiB = 1 << 20
 
 
 def whole_file_load(path, taxonomy=None) -> PredictionSet:
-    """The format read the plain way: the whole text at once, every
-    token checked in file order, row sums once every line has passed."""
+    """The format read the plain way: the whole text at once, each line
+    checked in file order, its row sum right after its tokens."""
     raw = Path(path).read_bytes()
     if raw[:2] == b"\x1f\x8b":
         raw = gzip.decompress(raw)
@@ -63,6 +63,7 @@ def whole_file_load(path, taxonomy=None) -> PredictionSet:
             raise fault(n, f"expected {K + 1} fields, got {len(parts)}")
         if parts[0] not in order:
             raise fault(n, f"unknown truth label {parts[0]!r}")
+        row = []
         for tok in parts[1:]:
             try:
                 v = float(tok)
@@ -72,13 +73,14 @@ def whole_file_load(path, taxonomy=None) -> PredictionSet:
                 raise fault(n, f"non-finite value {tok!r}")
             if v < 0:
                 raise fault(n, f"negative probability {tok!r}")
-            rows.append(v)
-        truth.append(order.index(parts[0]))
-    probs = np.array(rows, dtype=np.float64).reshape(-1, K)
-    for n, total in enumerate(probs.sum(axis=1).tolist(), start=3):
+            row.append(v)
+        total = float(np.sum(row))
         if abs(total - 1.0) > 1e-6:
             raise fault(n, f"row probabilities sum to {total!r}, "
                            "outside the 1e-6 tolerance")
+        rows.append(row)
+        truth.append(order.index(parts[0]))
+    probs = np.array(rows, dtype=np.float64).reshape(-1, K)
     probs = probs[:, [names.index(name) for name in order]]
     return PredictionSet(probs, truth, order)
 

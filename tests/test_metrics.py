@@ -224,3 +224,26 @@ def test_flaw_check_agrees_with_exact_rationals(d_h, m, d_l, n):
     merged = Fraction(d_h + d_l, m + n)
     alone = Fraction(d_h, m)
     assert metric_flaw_check(d_h, m, d_l, n) is (merged <= alone)
+
+
+def test_truth_labels_and_depths_outside_the_classes_are_rejected():
+    tax, preds = synth(K=4, N=2, tree_mode="balanced-binary")
+    ranked = batch_apply(preds, None, "likelihood")
+    for labels, bad in (([-1, -4], -1), ([4, 0], 4), ([0, 7], 7)):
+        match = rf"^truth label {bad} outside \[0, 4\)$"
+        with pytest.raises(ValueError, match=match):
+            top1_error(ranked, labels)
+        with pytest.raises(ValueError, match=match):
+            distance_at_k(ranked, labels, tax, 1)
+        with pytest.raises(ValueError, match=match):
+            severity_over_all(ranked, labels, tax)
+        with pytest.raises(ValueError, match=match):
+            Evaluation(tax, "likelihood").count(ranked, labels)
+    for ks, bad in (((2.9,), "2.9"), ((1, 1.5), "1.5"), (("2",), "'2'")):
+        with pytest.raises(ValueError,
+                           match=rf"^k_list entries must be integers, "
+                                 rf"got {bad}$"):
+            full_report(preds, tax, "crm", k_list=ks)
+    # Integral values of any numeric type still name their depth.
+    assert (full_report(preds, tax, "crm", k_list=(2.0, np.int64(1)))
+            == full_report(preds, tax, "crm", k_list=(1, 2)))

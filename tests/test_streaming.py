@@ -157,14 +157,19 @@ def faults(h, p):
 SUM_OFF = "a,0.25,0.25,0.25,0.2"  # sums to 0.95
 
 
-def test_entry_fault_in_a_later_block_beats_an_earlier_sum_fault(tmp_path):
+def test_an_earlier_sum_fault_beats_a_fault_in_a_later_block(tmp_path):
     h, p = faulty(tmp_path, {0: SUM_OFF})
     assert faults(h, p).startswith("error: line 3: row probabilities sum "
                                    "to 0.95")
     h, p = faulty(tmp_path, {0: SUM_OFF, 5: "b,0.5,-0.5,0.5,0.5"})
-    assert faults(h, p) == "error: line 8: negative probability '-0.5'"
+    assert faults(h, p).startswith("error: line 3: row probabilities sum "
+                                   "to 0.95")
     h, p = faulty(tmp_path, {1: SUM_OFF, 6: "c,0.5,0.5"})
-    assert faults(h, p) == "error: line 9: expected 5 fields, got 3"
+    assert faults(h, p).startswith("error: line 4: row probabilities sum "
+                                   "to 0.95")
+    # The first faulty line wins either way round.
+    h, p = faulty(tmp_path, {1: "c,0.5,0.5", 6: SUM_OFF})
+    assert faults(h, p) == "error: line 4: expected 5 fields, got 3"
 
 
 def test_undecodable_byte_after_an_earlier_fault(tmp_path):
@@ -172,16 +177,57 @@ def test_undecodable_byte_after_an_earlier_fault(tmp_path):
     # An earlier bad entry is named first ...
     h, p = faulty(tmp_path, {2: "a,0.5,oops,0.25,0.25"}, tail=bad)
     assert faults(h, p) == "error: line 5: invalid number 'oops'"
-    # ... but a row sum is checked only once every line has been read.
+    # ... and so is an earlier row sum.
     h, p = faulty(tmp_path, {2: SUM_OFF}, tail=bad)
+    assert faults(h, p).startswith("error: line 5: row probabilities sum "
+                                   "to 0.95")
+    # With no earlier fault the bad byte is named at its line.
+    h, p = faulty(tmp_path, {}, tail=bad)
     assert faults(h, p) == ("error: line 11: not UTF-8 (invalid start byte "
                             "at byte 16)")
+
+
+def read_counting_lines(p, block_rows):
+    """The FormatError text of loading ``p`` at ``block_rows`` rows of
+    four classes per block, and how many lines were pulled from the
+    file."""
+    pulled, lines = [], dataio._lines
+
+    def counted(f):
+        for line in lines(f):
+            pulled.append(line)
+            yield line
+
+    with mock.patch.object(dataio, "_BLOCK", block_rows * 20 * 4), \
+            mock.patch.object(dataio, "_lines", counted):
+        with pytest.raises(FormatError) as e:
+            dataio.load_predictions(p)
+    return str(e.value), len(pulled)
+
+
+def test_the_reader_stops_at_the_faulty_block(tmp_path):
+    # A bad sum on line 3, an undecodable byte 1000 lines below: the sum
+    # is named, and no line past its block is read.
+    _, p = faulty(tmp_path, {0: SUM_OFF}, n=1000, tail=b"\xff\n")
+    message, pulled = read_counting_lines(p, 2)
+    assert message.startswith("line 3: row probabilities sum to 0.95")
+    assert pulled == 2 + 2  # format line, header, one block of two rows
+    # An entry fault before a later sum fault wins, in its own block ...
+    _, p = faulty(tmp_path, {1: "b,0.5,-0.5,0.5,0.5", 2: SUM_OFF}, n=1000,
+                  tail=b"\xff\n")
+    assert read_counting_lines(p, 2) == (
+        "line 4: negative probability '-0.5'", 4)
+    # ... and in the sum's block.
+    _, p = faulty(tmp_path, {0: "a,0.25,oops,0.25,0.25", 1: SUM_OFF},
+                  n=1000, tail=b"\xff\n")
+    assert read_counting_lines(p, 2) == ("line 3: invalid number 'oops'", 4)
 
 
 @pytest.mark.parametrize("rows, message", [
     ({2: SUM_OFF}, "line 5: row probabilities sum to"),
     ({2: "a,0.5,-1,0.25,0.25"}, "line 5: negative probability '-1'"),
-    ({2: SUM_OFF, 6: "q,0.25,0.25,0.25,0.25"}, "line 9: unknown truth label"),
+    ({2: SUM_OFF, 6: "q,0.25,0.25,0.25,0.25"},
+     "line 5: row probabilities sum to 0.95"),
 ])
 def test_no_block_is_yielded_after_a_fault(tmp_path, rows, message):
     _, p = faulty(tmp_path, rows)

@@ -316,3 +316,11 @@ def test_taxonomy_constructor_rejects_nodes_off_the_root():
 def test_taxonomy_constructor_rejects_duplicate_names():
     with pytest.raises(TaxonomyError, match="unique"):
         Taxonomy(["a", "a", "root"], [2, 2, -1])
+
+
+def test_taxonomy_constructor_rejects_parents_out_of_range():
+    for parent, bad in (([2, 99, -1], 99), ([2, 2, -7], -7),
+                        ([3, 2, -1], 3)):
+        with pytest.raises(TaxonomyError,
+                           match=rf"^parent index {bad} outside \[-1, 3\)$"):
+            Taxonomy(["a", "b", "root"], parent)
