@@ -226,6 +226,7 @@ def test_the_reader_stops_at_the_faulty_block(tmp_path):
 @pytest.mark.parametrize("rows, message", [
     ({2: SUM_OFF}, "line 5: row probabilities sum to"),
     ({2: "a,0.5,-1,0.25,0.25"}, "line 5: negative probability '-1'"),
+    ({6: "q,0.25,0.25,0.25,0.25"}, "line 9: unknown truth label"),
     ({2: SUM_OFF, 6: "q,0.25,0.25,0.25,0.25"},
      "line 5: row probabilities sum to 0.95"),
 ])
@@ -238,4 +239,4 @@ def test_no_block_is_yielded_after_a_fault(tmp_path, rows, message):
             for block in blocks:
                 seen.append(block.N)
     assert names == ["a", "b", "c", "d"]
-    assert seen == [1, 1]
+    assert seen == [1] * min(rows)  # every row before the first faulty one
