@@ -9,9 +9,8 @@
 
 import numpy as np
 
-from hier_risk import (PredictionSet, batch_apply, metric_flaw_check,
-                       parse_taxonomy, severity_over_all,
-                       severity_over_mistakes)
+from hier_risk import (PredictionSet, batch_apply, evaluate,
+                       metric_flaw_check, parse_taxonomy)
 
 EDGES = "a\tp1\nb\tp1\nc\tp2\nd\tp2\np1\troot\np2\troot\n"
 
@@ -34,10 +33,10 @@ def main():
     model_b = ranked_towards([0] * 10 + [2] * 5 + [1] * 5, 4)
 
     for name, model in (("A", model_a), ("B", model_b)):
-        som, m = severity_over_mistakes(model, truth, tax)
-        soa = severity_over_all(model, truth, tax)
-        print(f"model {name}: {m:>2} mistakes, "
-              f"severity over mistakes {som:.2f}, over all samples {soa:.2f}")
+        r = evaluate(model, truth, tax)
+        print(f"model {name}: {r.n_mistakes:>2} mistakes, severity over "
+              f"mistakes {r.severity_over_mistakes:.2f}, over all samples "
+              f"{r.severity_over_all:.2f}")
 
     print()
     print("B is strictly worse yet its mistakes-only mean is lower.")

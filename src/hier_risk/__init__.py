@@ -14,9 +14,7 @@ from .dataio import (FormatError, load_calibration_report, load_hierarchy,
                      load_metrics_report, load_predictions,
                      save_calibration_report, save_cost_matrix,
                      save_hierarchy, save_metrics_report, save_predictions)
-from .metrics import (MetricsReport, distance_at_k, full_report,
-                      metric_flaw_check, severity_histogram,
-                      severity_over_all, severity_over_mistakes, top1_error)
+from .metrics import MetricsReport, evaluate, full_report, metric_flaw_check
 from .predictions import PredictionSet
 from .riskmin import (CostMatrix, Ranking, batch_apply, batch_crm_top1,
                       build_cost_matrix, conditional_risk, crm_predict,
@@ -49,8 +47,8 @@ __all__ = [
     "conditional_risk",
     "crm_predict",
     "crm_rerank",
-    "distance_at_k",
     "ece",
+    "evaluate",
     "fit_temperature",
     "full_report",
     "gen_predictions",
@@ -73,10 +71,6 @@ __all__ = [
     "save_hierarchy",
     "save_metrics_report",
     "save_predictions",
-    "severity_histogram",
-    "severity_over_all",
-    "severity_over_mistakes",
     "shuffle_leaves",
-    "top1_error",
     "__version__",
 ]

@@ -23,7 +23,7 @@ import numpy as np
 
 from .predictions import PredictionSet
 from .riskmin import LIKELIHOOD, RISK, Ranking, batch_apply
-from .taxonomy import Taxonomy, collapse_to_depth
+from .taxonomy import Taxonomy, _as_int, collapse_to_depth
 
 __all__ = [
     "BinTally",
@@ -88,7 +88,7 @@ class BinTally:
     """
 
     def __init__(self, B: int, source: str = "max-likelihood"):
-        B = int(B)
+        B = _as_int(B, "bin count must be an integer")
         if B < 1:
             raise ValueError(f"bin count must be >= 1, got {B}")
         self.basis = CONFIDENCE_SOURCES.get(source)

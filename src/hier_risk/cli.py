@@ -28,7 +28,7 @@ import sys
 from .calibration import (BinTally, CalibrationReport, CONFIDENCE_SOURCES,
                           apply_temperature, bin_confidences, ece,
                           fit_temperature, mce)
-from .dataio import (FormatError, _write_lines, calibration_report_to_json,
+from .dataio import (_write_lines, calibration_report_to_json,
                      cost_matrix_to_csv, load_hierarchy, load_predictions,
                      metrics_report_to_json, read_predictions,
                      save_cost_matrix, save_hierarchy, save_predictions)
@@ -37,7 +37,7 @@ from .predictions import PredictionSet
 from .riskmin import batch_apply, build_cost_matrix
 from .synth import SynthConfig, TREE_MODES, TRUTH_MODES, gen_predictions, \
     gen_taxonomy
-from .taxonomy import TaxonomyError, shuffle_leaves
+from .taxonomy import shuffle_leaves
 
 __all__ = ["main"]
 
@@ -69,10 +69,12 @@ def _cmd_build_costs(args) -> None:
 def _cmd_eval(args) -> str:
     tax = load_hierarchy(args.hierarchy)
     _, blocks = read_predictions(args.predictions, tax)
-    ev = Evaluation(tax, args.basis, args.k)
-    check = args.theorem1_fastpath and args.basis == "crm"
+    ev = Evaluation(tax, args.k)
+    C = build_cost_matrix(tax) if args.basis == "crm" else None
+    check = args.theorem1_fastpath and C is not None
     for block in blocks:
-        ranked = ev.add(block)
+        ranked = batch_apply(block, C, args.basis, depth=ev.ks[-1])
+        ev.count(ranked, block.truth)
         if check:
             # Theorem 1: on taxonomy costs a class holding more than half
             # the mass is the risk minimizer, so the certified top-1 must
@@ -123,15 +125,18 @@ def _cmd_shuffle_eval(args) -> str:
     tax = load_hierarchy(args.hierarchy)
     trees = {"original": tax, "shuffled": shuffle_leaves(tax, args.seed)}
     _, blocks = read_predictions(args.predictions, tax)
-    evals = {basis: {name: Evaluation(t, basis, args.k)
-                     for name, t in trees.items()}
+    evals = {basis: {name: Evaluation(t, args.k) for name, t in trees.items()}
              for basis in ("likelihood", "crm")}
+    costs = {name: build_cost_matrix(t) for name, t in trees.items()}
+    m = evals["crm"]["original"].ks[-1]
     for block in blocks:
         # Both trees list the same classes and likelihoods read no costs.
-        ranked = evals["likelihood"]["original"].add(block)
-        evals["likelihood"]["shuffled"].count(ranked, block.truth)
-        for ev in evals["crm"].values():
-            ev.add(block)
+        ranked = batch_apply(block, None, "likelihood", depth=m)
+        for ev in evals["likelihood"].values():
+            ev.count(ranked, block.truth)
+        for name, ev in evals["crm"].items():
+            ev.count(batch_apply(block, costs[name], "crm", depth=m),
+                     block.truth)
     return metrics_report_to_json({
         basis: {name: ev.report() for name, ev in by_tree.items()}
         for basis, by_tree in evals.items()
@@ -243,7 +248,7 @@ def main(argv=None) -> int:
         if text is not None:
             sys.stdout.flush()
             _write_lines(args.out or sys.stdout.buffer, [text])
-    except (TaxonomyError, FormatError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except MemoryError as e:

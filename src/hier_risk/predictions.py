@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .taxonomy import _as_ints
+
 __all__ = ["PredictionSet", "validate_rows"]
 
 
@@ -44,7 +46,8 @@ class PredictionSet:
 
     Attributes:
         probs: (N, K) float64, validated and renormalized as above.
-        truth: (N,) int64 class indices in [0, K).
+        truth: (N,) int64 class indices in [0, K); a label that is not
+            an integer (2.5, nan) is refused, not truncated.
         class_names: K unique names giving the column order.
     """
 
@@ -55,7 +58,7 @@ class PredictionSet:
                          copy=None if _adopt else True)
         if probs.ndim != 2:
             raise ValueError("probs must be a 2-d array")
-        truth = np.array(truth, dtype=np.int64, copy=True)
+        truth = _as_ints(truth, "truth labels must be integers").copy()
         if truth.ndim != 1 or truth.shape[0] != probs.shape[0]:
             raise ValueError("truth must be 1-d with one entry per row")
         names = [str(n) for n in class_names]

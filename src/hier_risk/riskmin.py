@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .predictions import PredictionSet, validate_rows
-from .taxonomy import Taxonomy
+from .taxonomy import Taxonomy, _as_int
 
 __all__ = [
     "CostMatrix",
@@ -311,7 +311,8 @@ def batch_apply(preds: PredictionSet, C: CostMatrix | None,
     b = _normalize_basis(basis)
     if C is not None:
         _check_costs(preds, C)
-    m = preds.K if depth is None else min(int(depth), preds.K)
+    m = preds.K if depth is None else min(
+        _as_int(depth, "ranking depth must be an integer"), preds.K)
     if m < 1:
         raise ValueError(f"ranking depth must be >= 1, got {depth}")
     if b == RISK:

@@ -33,6 +33,30 @@ class TaxonomyError(ValueError):
     """Malformed or structurally invalid hierarchy input."""
 
 
+def _as_int(value, what: str, error=ValueError) -> int:
+    """``value`` as an int if it equals one, else ``error(what)`` naming
+    it: 2.0 is 2, but 2.5, nan or "2" is refused, not truncated."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    try:
+        i = int(value)
+    except (TypeError, ValueError, OverflowError):
+        i = None
+    if i is None or i != value:
+        raise error(f"{what}, got {value!r}")
+    return i
+
+
+def _as_ints(values, what: str) -> np.ndarray:
+    """``values`` as an int64 array, each entry checked by :func:`_as_int`
+    unless the array holds integers already."""
+    a = np.asarray(values)
+    if a.dtype.kind in "iu":
+        return a.astype(np.int64, copy=False)
+    return np.array([_as_int(v, what) for v in a.ravel().tolist()],
+                    dtype=np.int64).reshape(a.shape)
+
+
 class Taxonomy:
     """Immutable rooted tree over named nodes.
 
@@ -58,7 +82,8 @@ class Taxonomy:
 
     def __init__(self, names, parent):
         self.names = list(names)
-        self.parent = [int(p) for p in parent]
+        self.parent = [_as_int(p, "parent indices must be integers",
+                               TaxonomyError) for p in parent]
         n = len(self.names)
         if n != len(self.parent):
             raise TaxonomyError("names and parent lists differ in length")
@@ -110,9 +135,6 @@ class Taxonomy:
     @property
     def n_nodes(self) -> int:
         return len(self.names)
-
-    def children(self, node: int) -> list[int]:
-        return list(self._children[node])
 
     def depths(self) -> list[int]:
         """Edge count from the root, per node (root depth 0), as a copy."""
@@ -253,6 +275,7 @@ def parse_taxonomy(text: str) -> Taxonomy:
 
 def node_height(tax: Taxonomy, node: int) -> int:
     """Height of a node: edges to its furthest descendant leaf."""
+    node = _as_int(node, "node index must be an integer")
     if not 0 <= node < tax.n_nodes:
         raise ValueError(f"node index {node} out of range")
     return tax._heights[node]
@@ -260,6 +283,7 @@ def node_height(tax: Taxonomy, node: int) -> int:
 
 def lca_height(tax: Taxonomy, i: int, j: int) -> int:
     """Height of the lowest common ancestor of classes i and j."""
+    i, j = (_as_int(c, "class index must be an integer") for c in (i, j))
     K = tax.K
     if not (0 <= i < K and 0 <= j < K):
         raise ValueError(f"class index out of range: ({i}, {j})")
@@ -273,6 +297,7 @@ def collapse_to_depth(tax: Taxonomy, depth: int) -> dict[int, int]:
     ``depth``) maps to itself. Depth 0 maps every class to the root.
     The image set of the mapping defines the collapsed label space.
     """
+    depth = _as_int(depth, "depth must be an integer")
     if not 0 <= depth <= tax.max_leaf_depth():
         raise TaxonomyError(
             f"depth {depth} out of range [0, {tax.max_leaf_depth()}]"

@@ -24,11 +24,10 @@ from hier_risk import (PredictionSet, Ranking, SynthConfig,
                        apply_temperature, batch_apply, batch_crm_top1,
                        bin_confidences, build_cost_matrix,
                        conditional_risk, crm_predict, crm_rerank, ece,
-                       fit_temperature, gen_predictions, gen_taxonomy,
+                       evaluate, fit_temperature, gen_predictions, gen_taxonomy,
                        hierarchical_ece, lca_height, likelihood_rank,
                        mce, metric_flaw_check, oracle_lca, oracle_risk,
-                       parse_taxonomy, severity_over_all,
-                       severity_over_mistakes, shuffle_leaves)
+                       parse_taxonomy, shuffle_leaves)
 
 RISK_ORACLE_TOL = 1e-9
 PREFIX_TOL = 1e-9
@@ -199,12 +198,12 @@ def test_05_mistake_mean_rewards_adding_mild_mistakes():
     truth = np.zeros(20, dtype=np.int64)
     model_a = _ranked([correct] * 15 + [cross] * 5)
     model_b = _ranked([correct] * 10 + [cross] * 5 + [sibling] * 5)
-    som_a, m_a = severity_over_mistakes(model_a, truth, TWO_BRANCH)
-    som_b, m_b = severity_over_mistakes(model_b, truth, TWO_BRANCH)
-    assert (som_a, m_a) == (2.0, 5)
-    assert (som_b, m_b) == (1.5, 10)
-    assert severity_over_all(model_a, truth, TWO_BRANCH) == 0.5
-    assert severity_over_all(model_b, truth, TWO_BRANCH) == 0.75
+    a = evaluate(model_a, truth, TWO_BRANCH)
+    b = evaluate(model_b, truth, TWO_BRANCH)
+    assert (a.severity_over_mistakes, a.n_mistakes) == (2.0, 5)
+    assert (b.severity_over_mistakes, b.n_mistakes) == (1.5, 10)
+    assert a.severity_over_all == 0.5
+    assert b.severity_over_all == 0.75
     assert metric_flaw_check(10, 5, 5, 5) is True
 
     # Sufficient condition, exhaustively on random positive integers:

@@ -618,7 +618,7 @@ def test_theorem1_check_fails_loudly(corpus, capsys, monkeypatch):
         perm = ranked.permutation.copy()
         perm[:, 0] = (np.argmax(preds.probs, axis=1) + 1) % preds.K
         return Ranking(perm, ranked.scores, ranked.basis)
-    monkeypatch.setattr("hier_risk.metrics.batch_apply", shifted)
+    monkeypatch.setattr("hier_risk.cli.batch_apply", shifted)
     code = main(["eval", "--hierarchy", corpus["hier"],
                  "--predictions", corpus["preds"], "--k", "1,5",
                  "--theorem1-fastpath"])

@@ -5,12 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hier_risk import (PredictionSet, Ranking, SynthConfig,
-                       build_cost_matrix, batch_apply,
-                       distance_at_k, full_report, gen_predictions,
-                       gen_taxonomy, metric_flaw_check, node_height,
-                       parse_taxonomy, severity_histogram,
-                       severity_over_all, severity_over_mistakes,
-                       top1_error)
+                       build_cost_matrix, batch_apply, evaluate,
+                       full_report, gen_predictions, gen_taxonomy,
+                       metric_flaw_check, node_height, parse_taxonomy)
 from hier_risk.metrics import Evaluation
 
 TWO_BRANCH = parse_taxonomy(
@@ -24,8 +21,9 @@ def synth(seed=1, K=8, N=300, tree_mode="random-attachment", **kw):
 
 
 def test_empty_batch_yields_zero_metrics():
-    nothing = Ranking(np.zeros((0, 2), dtype=np.int64), np.zeros((0, 2)))
-    assert top1_error(nothing, np.zeros(0, dtype=np.int64)) == 0.0
+    nothing = Ranking(np.zeros((0, 4), dtype=np.int64), np.zeros((0, 4)))
+    assert evaluate(nothing, np.zeros(0, dtype=np.int64),
+                    TWO_BRANCH).top1_error == 0.0
     tax, preds = synth(N=0)
     report = full_report(preds, tax, "crm", k_list=(1, 2))
     assert report.top1_error == 0.0
@@ -41,9 +39,9 @@ def test_distance_at_k_validates_k():
     tax, preds = synth(K=4, N=10, tree_mode="flat")
     ranked = batch_apply(preds, build_cost_matrix(tax), "crm")
     with pytest.raises(ValueError):
-        distance_at_k(ranked, preds.truth, tax, 0)
+        evaluate(ranked, preds.truth, tax, (0,))
     with pytest.raises(ValueError):
-        distance_at_k(ranked, preds.truth, tax, 5)
+        evaluate(ranked, preds.truth, tax, (5,))
     with pytest.raises(ValueError, match=r"\[1, 4\]"):
         full_report(preds, tax, "crm", k_list=(1, 5))
     with pytest.raises(ValueError, match="empty"):
@@ -60,10 +58,10 @@ def test_shallow_ranking_refuses_a_deeper_k_by_name():
     shallow = batch_apply(preds, C, "crm", depth=3)
     assert shallow.permutation.shape == (60, 3)
     for k in (1, 2, 3):
-        assert (distance_at_k(shallow, preds.truth, tax, k)
-                == distance_at_k(full, preds.truth, tax, k))
+        assert (evaluate(shallow, preds.truth, tax, (k,)).distance_at_k[k]
+                == evaluate(full, preds.truth, tax, (k,)).distance_at_k[k])
     with pytest.raises(ValueError, match="exceeds the ranking depth 3"):
-        distance_at_k(shallow, preds.truth, tax, 4)
+        evaluate(shallow, preds.truth, tax, (4,))
 
 
 def test_likelihood_report_builds_no_cost_matrix(monkeypatch):
@@ -87,25 +85,30 @@ def test_length_mismatch_rejected():
     tax, preds = synth(K=4, N=10, tree_mode="flat")
     ranked = batch_apply(preds, build_cost_matrix(tax), "crm")
     with pytest.raises(ValueError, match="length"):
-        top1_error(ranked, preds.truth[:-1])
+        evaluate(ranked, preds.truth[:-1], tax)
+    # A ranking's class count must be the tree's, in either direction.
+    for other in (synth(K=8, N=1)[0],
+                  parse_taxonomy("a\troot\nb\troot\nc\troot\n")):
+        with pytest.raises(ValueError, match=rf"^ranking over 4 classes for "
+                                             rf"a taxonomy of {other.K}$"):
+            evaluate(ranked, preds.truth, other)
 
 
 def test_metric_identities_on_random_batches():
     for seed in (0, 5, 9):
         tax, preds = synth(seed=seed, K=9, N=400)
         ranked = batch_apply(preds, build_cost_matrix(tax), "crm")
-        truth = preds.truth
-        soa = severity_over_all(ranked, truth, tax)
-        som, m = severity_over_mistakes(ranked, truth, tax)
-        hist = severity_histogram(ranked, truth, tax)
+        r = evaluate(ranked, preds.truth, tax, (1,))
+        soa, som, m = r.severity_over_all, r.severity_over_mistakes, \
+            r.n_mistakes
         # distance@1 is the severity of the top pick, averaged over all.
-        assert distance_at_k(ranked, truth, tax, 1) == soa
+        assert r.distance_at_k[1] == soa
         # Both means divide the same integer total.
-        total = sum(h * c for h, c in hist.items())
-        assert m == sum(hist.values())
+        total = sum(h * c for h, c in r.histogram.items())
+        assert m == sum(r.histogram.values())
         assert som == total / m
         assert soa == total / preds.N
-        assert top1_error(ranked, truth) == m / preds.N
+        assert r.top1_error == m / preds.N
 
 
 def test_distance_at_k_counts_truth_as_zero():
@@ -114,7 +117,7 @@ def test_distance_at_k_counts_truth_as_zero():
     tax, preds = synth(seed=3, K=6, N=50)
     C = build_cost_matrix(tax)
     ranked = batch_apply(preds, C, "likelihood")
-    full_k = distance_at_k(ranked, preds.truth, tax, tax.K)
+    full_k = evaluate(ranked, preds.truth, tax, (tax.K,)).distance_at_k[tax.K]
     expected = np.mean(C.entries[preds.truth].sum(axis=1) / tax.K)
     assert abs(full_k - expected) < 1e-12
 
@@ -125,12 +128,13 @@ def test_distance_at_k_is_monotone_in_k_only_sometimes():
     tax, preds = synth(seed=4, K=5, N=80)
     ranked = batch_apply(preds, build_cost_matrix(tax), "crm")
     lca = tax.lca_matrix()
+    report = evaluate(ranked, preds.truth, tax, range(1, 6))
     for k in range(1, 6):
         manual = np.mean([
             lca[t, r.permutation[:k]].mean()
             for r, t in zip(ranked, preds.truth)
         ])
-        assert abs(distance_at_k(ranked, preds.truth, tax, k) - manual) < 1e-12
+        assert abs(report.distance_at_k[k] - manual) < 1e-12
 
 
 def test_full_report_matches_component_metrics():
@@ -138,17 +142,27 @@ def test_full_report_matches_component_metrics():
     for basis in ("crm", "likelihood"):
         ranked = batch_apply(preds, build_cost_matrix(tax), basis)
         report = full_report(preds, tax, basis, k_list=(1, 3, 7))
-        assert report.top1_error == top1_error(ranked, preds.truth)
+        # Each field equals a reduction that reads that field alone.
         for k in (1, 3, 7):
-            assert report.distance_at_k[k] == distance_at_k(
-                ranked, preds.truth, tax, k)
-        som, m = severity_over_mistakes(ranked, preds.truth, tax)
-        assert report.n_mistakes == m
-        assert report.severity_over_mistakes == som
-        assert report.severity_over_all == severity_over_all(
-            ranked, preds.truth, tax)
-        assert report.histogram == severity_histogram(
-            ranked, preds.truth, tax)
+            assert report.distance_at_k[k] == evaluate(
+                ranked, preds.truth, tax, (k,)).distance_at_k[k]
+        top1 = evaluate(ranked, preds.truth, tax, (1,))
+        assert report.top1_error == top1.top1_error
+        assert report.n_mistakes == top1.n_mistakes
+        assert report.severity_over_mistakes == top1.severity_over_mistakes
+        assert report.severity_over_all == top1.severity_over_all
+        assert report.histogram == top1.histogram
+
+
+@pytest.mark.parametrize("basis", ["crm", "likelihood"])
+@pytest.mark.parametrize("k_list", [(1, 3, 7), (2,), None])
+def test_full_report_is_evaluate_of_one_cut_ranking(basis, k_list):
+    tax, preds = synth(seed=6, K=10, N=200)
+    report = full_report(preds, tax, basis, k_list)
+    depth = max(report.distance_at_k)
+    ranked = batch_apply(preds, build_cost_matrix(tax), basis, depth=depth)
+    assert ranked.permutation.shape == (200, depth)
+    assert evaluate(ranked, preds.truth, tax, k_list) == report
 
 
 def test_distance_at_k_is_the_exact_integer_quotient():
@@ -177,7 +191,7 @@ def test_full_report_is_invariant_to_row_order():
 def test_counting_a_ranking_in_slices_matches_counting_it_whole():
     tax, preds = synth(seed=5, N=40)
     ranking = batch_apply(preds, build_cost_matrix(tax), "crm")
-    whole, split = (Evaluation(tax, "crm", (1, 3)) for _ in range(2))
+    whole, split = (Evaluation(tax, (1, 3)) for _ in range(2))
     whole.count(ranking, preds.truth)
     split.count(ranking[:15], preds.truth[:15])
     split.count(ranking[15:], preds.truth[15:])
@@ -197,15 +211,16 @@ def test_histogram_includes_zero_count_severities():
     truth = np.zeros(5, dtype=np.int64)
     preds = PredictionSet(probs, truth, ["a", "b", "c", "d"])
     ranked = batch_apply(preds, None, "likelihood")
-    assert severity_histogram(ranked, truth, TWO_BRANCH) == {1: 5, 2: 0}
+    assert evaluate(ranked, truth, TWO_BRANCH).histogram == {1: 5, 2: 0}
 
 
 def test_perfect_predictions_have_no_mistakes():
     tax, preds = synth(seed=2, K=8, N=64, truth_mode="argmax")
     ranked = batch_apply(preds, None, "likelihood")
-    assert top1_error(ranked, preds.truth) == 0.0
-    som, m = severity_over_mistakes(ranked, preds.truth, tax)
-    assert (som, m) == (0.0, 0)
+    r = evaluate(ranked, preds.truth, tax)
+    assert r.top1_error == 0.0
+    assert r.severity_over_mistakes is None
+    assert r.n_mistakes == 0
     report = full_report(preds, tax, "likelihood", k_list=(1,))
     assert report.severity_over_mistakes is None
     assert report.n_mistakes == 0
@@ -231,14 +246,12 @@ def test_truth_labels_and_depths_outside_the_classes_are_rejected():
     ranked = batch_apply(preds, None, "likelihood")
     for labels, bad in (([-1, -4], -1), ([4, 0], 4), ([0, 7], 7)):
         match = rf"^truth label {bad} outside \[0, 4\)$"
+        # The label check holds whatever k list the reduction reads.
+        for ks in (None, (1,), (1, 2)):
+            with pytest.raises(ValueError, match=match):
+                evaluate(ranked, labels, tax, ks)
         with pytest.raises(ValueError, match=match):
-            top1_error(ranked, labels)
-        with pytest.raises(ValueError, match=match):
-            distance_at_k(ranked, labels, tax, 1)
-        with pytest.raises(ValueError, match=match):
-            severity_over_all(ranked, labels, tax)
-        with pytest.raises(ValueError, match=match):
-            Evaluation(tax, "likelihood").count(ranked, labels)
+            Evaluation(tax).count(ranked, labels)
     for ks, bad in (((2.9,), "2.9"), ((1, 1.5), "1.5"), (("2",), "'2'")):
         with pytest.raises(ValueError,
                            match=rf"^k_list entries must be integers, "
@@ -247,3 +260,27 @@ def test_truth_labels_and_depths_outside_the_classes_are_rejected():
     # Integral values of any numeric type still name their depth.
     assert (full_report(preds, tax, "crm", k_list=(2.0, np.int64(1)))
             == full_report(preds, tax, "crm", k_list=(1, 2)))
+
+
+def test_non_integral_truth_labels_are_rejected():
+    tax, preds = synth(K=4, N=2, tree_mode="balanced-binary")
+    ranked = batch_apply(preds, None, "likelihood")
+    for labels, bad in (([0.9, 1.7], "0.9"), ([1, 2.5], "2.5"),
+                        ([np.nan, 0], "nan"), (["1", "2"], "'1'")):
+        match = rf"^truth labels must be integers, got {bad}$"
+        with pytest.raises(ValueError, match=match):
+            evaluate(ranked, labels, tax)
+        with pytest.raises(ValueError, match=match):
+            Evaluation(tax).count(ranked, labels)
+        with pytest.raises(ValueError, match=match):
+            PredictionSet(preds.probs, labels, preds.class_names)
+    # Integral floats name their class, and no labels at all stay valid.
+    floats = [float(t) for t in preds.truth]
+    assert (evaluate(ranked, floats, tax)
+            == evaluate(ranked, preds.truth, tax))
+    assert (PredictionSet(preds.probs, floats, preds.class_names).truth
+            .tolist() == preds.truth.tolist())
+    empty = PredictionSet(np.zeros((0, 4)), [], preds.class_names)
+    assert empty.truth.dtype == np.int64 and empty.N == 0
+    assert evaluate(batch_apply(empty, None, "likelihood"), [],
+                    tax).top1_error == 0.0

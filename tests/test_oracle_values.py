@@ -11,10 +11,8 @@ import numpy as np
 from hier_risk import (PredictionSet, Ranking, apply_temperature,
                        batch_apply, bin_confidences, build_cost_matrix,
                        collapse_to_depth, conditional_risk, crm_predict,
-                       crm_rerank, distance_at_k, ece, likelihood_rank,
-                       mce, metric_flaw_check, parse_taxonomy,
-                       severity_histogram, severity_over_all,
-                       severity_over_mistakes)
+                       crm_rerank, ece, evaluate, likelihood_rank, mce,
+                       metric_flaw_check, parse_taxonomy)
 
 TOL = 1e-12
 
@@ -133,22 +131,24 @@ def test_severity_means_and_histogram():
         [1, 0, 2, 3],
     ])
     truth = np.zeros(6, dtype=np.int64)
-    mean, count = severity_over_mistakes(ranked, truth, tax)
-    assert count == 3
-    assert abs(mean - 5 / 3) <= TOL
-    assert abs(severity_over_all(ranked, truth, tax) - 5 / 6) <= TOL
-    assert severity_histogram(ranked, truth, tax) == {1: 1, 2: 2}
+    r = evaluate(ranked, truth, tax)
+    assert r.n_mistakes == 3
+    assert abs(r.severity_over_mistakes - 5 / 3) <= TOL
+    assert abs(r.severity_over_all - 5 / 6) <= TOL
+    assert r.histogram == {1: 1, 2: 2}
 
 
 def test_distance_at_k_frozen_prefixes():
     tax = two_branch()
     truth = np.zeros(1, dtype=np.int64)
     risk_order = _ranked([[2, 3, 0, 1]])
-    assert distance_at_k(risk_order, truth, tax, 1) == 2.0
-    assert distance_at_k(risk_order, truth, tax, 2) == 2.0
+    risk = evaluate(risk_order, truth, tax, (1, 2)).distance_at_k
+    assert risk[1] == 2.0
+    assert risk[2] == 2.0
     lik_order = _ranked([[0, 2, 3, 1]])
-    assert distance_at_k(lik_order, truth, tax, 1) == 0.0
-    assert distance_at_k(lik_order, truth, tax, 2) == 1.0
+    lik = evaluate(lik_order, truth, tax, (1, 2)).distance_at_k
+    assert lik[1] == 0.0
+    assert lik[2] == 1.0
 
 
 def test_binning_ece_mce_dyadic_exact():

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from hier_risk import (FormatError, SynthConfig, gen_predictions,
                        gen_taxonomy, save_hierarchy, save_predictions)
-from hier_risk import dataio, metrics
+from hier_risk import cli, dataio
 from hier_risk.cli import main
 from hier_risk.dataio import PREDICTIONS_MAGIC, read_predictions
 
@@ -113,16 +113,15 @@ def test_shuffle_eval_ranks_each_block_three_times(tmp_path):
     save_predictions(gen_predictions(cfg, tax), p)
     argv = ["shuffle-eval", "--hierarchy", h, "--predictions", p,
             "--seed", "1", "--k", "1,3"]
-    bases, rank = [], metrics.batch_apply
+    bases, rank = [], cli.batch_apply
 
     def counted(preds, C, basis, **kw):
         bases.append(basis)
         return rank(preds, C, basis, **kw)
 
-    with mock.patch.object(metrics, "batch_apply", counted):
+    with mock.patch.object(cli, "batch_apply", counted):
         assert run(argv, rows=2, K=5)[0] == 0  # 4 blocks
-    assert sorted(bases) == ["likelihood-descending"] * 4 \
-        + ["risk-ascending"] * 8
+    assert sorted(bases) == ["crm"] * 8 + ["likelihood"] * 4
 
 
 HIER = "a\tp1\nb\tp1\nc\tp2\nd\tp2\np1\troot\np2\troot\n"

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from hier_risk import (PredictionSet, SynthConfig, batch_apply,
-                       build_cost_matrix, conditional_risk, gen_predictions,
-                       gen_taxonomy, lca_height, node_height, oracle_lca,
-                       oracle_risk, parse_taxonomy, top1_error)
+                       build_cost_matrix, conditional_risk, evaluate,
+                       gen_predictions, gen_taxonomy, lca_height, node_height,
+                       oracle_lca, oracle_risk, parse_taxonomy)
 
 
 def test_config_validation():
@@ -105,7 +105,7 @@ def test_argmax_truth_is_never_wrong():
     tax = gen_taxonomy(cfg)
     preds = gen_predictions(cfg, tax)
     ranked = batch_apply(preds, None, "likelihood")
-    assert top1_error(ranked, preds.truth) == 0.0
+    assert evaluate(ranked, preds.truth, tax).top1_error == 0.0
 
 
 def test_corrupted_rho_zero_equals_self_sampled():

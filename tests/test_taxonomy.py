@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hier_risk import (PredictionSet, SynthConfig, Taxonomy, TaxonomyError,
-                       batch_apply, build_cost_matrix, collapse_to_depth,
-                       gen_taxonomy,
+                       batch_apply, bin_confidences, build_cost_matrix,
+                       collapse_to_depth, evaluate, gen_taxonomy,
+                       hierarchical_ece,
                        lca_height, node_height, oracle_lca, parse_taxonomy,
                        shuffle_leaves)
-from hier_risk.metrics import _reduce
+
+from hier_risk.calibration import BinTally
 
 CHAIN = "a\tm1\nb\tm1\nm1\tm2\nm2\troot\nc\troot\n"
 
@@ -217,7 +219,7 @@ def test_metric_reduction_reads_the_compact_table_exactly(name):
     ranked = batch_apply(preds, None, "likelihood")
     ref = reference_lca(tax)
     D = ref[preds.truth[:, None], ranked.permutation[:, :20]]
-    r = _reduce(ranked, preds.truth, tax, (1, 20))
+    r = evaluate(ranked, preds.truth, tax, (1, 20))
     assert r.distance_at_k[20] == int(D.sum()) / (20 * N)
     assert r.severity_over_all == int(D[:, 0].sum()) / N
     assert sum(r.histogram.values()) == r.n_mistakes
@@ -324,3 +326,30 @@ def test_taxonomy_constructor_rejects_parents_out_of_range():
         with pytest.raises(TaxonomyError,
                            match=rf"^parent index {bad} outside \[-1, 3\)$"):
             Taxonomy(["a", "b", "root"], parent)
+    # A non-integral parent is named, not truncated to 2.
+    with pytest.raises(TaxonomyError,
+                       match=r"^parent indices must be integers, got 2\.7$"):
+        Taxonomy(["a", "b", "root"], [2.7, 2.2, -1])
+    assert Taxonomy(["a", "b", "root"], [2.0, 2, -1]).parent == [2, 2, -1]
+
+
+@pytest.mark.parametrize("call, what, bad, good", [
+    (lambda t, p, v: batch_apply(p, None, "likelihood", depth=v).permutation
+     .tolist(), "ranking depth", 2.5, 2),
+    (lambda t, p, v: bin_confidences(p, batch_apply(p, None, "likelihood"),
+                                     v).counts.tolist(), "bin count", 2.5, 2),
+    (lambda t, p, v: BinTally(v).B, "bin count", 2.5, 2),
+    (lambda t, p, v: collapse_to_depth(t, v), "depth", 1.5, 1),
+    (lambda t, p, v: hierarchical_ece(p, t, v), "depth", 0.5, 1),
+    (lambda t, p, v: node_height(t, v), "node index", 1.5, 1),
+    (lambda t, p, v: lca_height(t, v, 1), "class index", 0.5, 0),
+], ids=["batch_apply", "bin_confidences", "BinTally", "collapse_to_depth",
+        "hierarchical_ece", "node_height", "lca_height"])
+def test_integer_arguments_are_not_truncated(call, what, bad, good):
+    tax = parse_taxonomy(CHAIN)
+    preds = PredictionSet([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25]], [0, 2],
+                          tax.class_names)
+    with pytest.raises(ValueError,
+                       match=rf"^{what} must be an integer, got {bad}$"):
+        call(tax, preds, bad)
+    assert call(tax, preds, float(good)) == call(tax, preds, good)
