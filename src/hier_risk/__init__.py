@@ -11,9 +11,8 @@ from .calibration import (CalibrationBins, CalibrationReport,
                           apply_temperature, bin_confidences, ece,
                           fit_temperature, hierarchical_ece, mce)
 from .dataio import (FormatError, load_calibration_report, load_hierarchy,
-                     load_metrics_report, load_predictions,
-                     save_calibration_report, save_cost_matrix,
-                     save_hierarchy, save_metrics_report, save_predictions)
+                     load_metrics_report, load_predictions, save_cost_matrix,
+                     save_hierarchy, save_predictions)
 from .metrics import MetricsReport, evaluate, full_report, metric_flaw_check
 from .predictions import PredictionSet
 from .riskmin import (CostMatrix, Ranking, batch_apply, batch_crm_top1,
@@ -66,10 +65,8 @@ __all__ = [
     "oracle_lca",
     "oracle_risk",
     "parse_taxonomy",
-    "save_calibration_report",
     "save_cost_matrix",
     "save_hierarchy",
-    "save_metrics_report",
     "save_predictions",
     "shuffle_leaves",
     "__version__",

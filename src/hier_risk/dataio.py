@@ -1,4 +1,4 @@
-"""File formats: prediction CSV, report JSON, audit CSV exports.
+"""File formats: prediction CSV, report JSON, the cost-matrix audit CSV.
 
 Prediction files are UTF-8 CSV with LF line endings. Line 1 is the
 format line ``#hier-risk-predictions v1``, line 2 the header
@@ -42,7 +42,7 @@ from itertools import islice, repeat
 
 import numpy as np
 
-from .calibration import CONFIDENCE_SOURCES, CalibrationBins, CalibrationReport
+from .calibration import CONFIDENCE_SOURCES, CalibrationReport
 from .metrics import MetricsReport
 from .predictions import PredictionSet, _passed, validate_rows
 from .riskmin import CostMatrix
@@ -58,14 +58,10 @@ __all__ = [
     "save_predictions",
     "metrics_report_to_json",
     "calibration_report_to_json",
-    "save_metrics_report",
     "load_metrics_report",
-    "save_calibration_report",
     "load_calibration_report",
     "cost_matrix_to_csv",
     "save_cost_matrix",
-    "reliability_to_csv",
-    "histogram_to_csv",
 ]
 
 PREDICTIONS_MAGIC = "#hier-risk-predictions v1"
@@ -412,14 +408,6 @@ def calibration_report_to_json(r: CalibrationReport) -> str:
     return _text(r) + "\n"
 
 
-def save_metrics_report(r: MetricsReport, path) -> None:
-    _write_lines(path, [metrics_report_to_json(r)])
-
-
-def save_calibration_report(r: CalibrationReport, path) -> None:
-    _write_lines(path, [calibration_report_to_json(r)])
-
-
 def _decode(kind: str, v, field: str):
     if kind[0] == "{":
         if not isinstance(v, dict):
@@ -518,22 +506,3 @@ def save_cost_matrix(C: CostMatrix, path) -> None:
     an open binary file."""
     _write_lines(path, _cost_csv_lines(C))
 
-
-def reliability_to_csv(bins: CalibrationBins) -> str:
-    lines = ["bin_low,bin_high,count,mean_conf,accuracy"]
-    for b in range(bins.B):
-        lines.append(",".join([
-            repr(float(bins.edges[b])),
-            repr(float(bins.edges[b + 1])),
-            str(int(bins.counts[b])),
-            repr(float(bins.mean_conf[b])),
-            repr(float(bins.accuracy[b])),
-        ]))
-    return "\n".join(lines) + "\n"
-
-
-def histogram_to_csv(histogram: dict[int, int]) -> str:
-    lines = ["severity,count"]
-    for severity in sorted(histogram):
-        lines.append(f"{int(severity)},{int(histogram[severity])}")
-    return "\n".join(lines) + "\n"

@@ -28,7 +28,6 @@ from .riskmin import (RISK, Ranking, _normalize_basis, batch_apply,
 from .taxonomy import Taxonomy, _as_int, _as_ints, node_height
 
 __all__ = [
-    "PredictionSet",
     "MetricsReport",
     "evaluate",
     "metric_flaw_check",

@@ -47,7 +47,8 @@ class PredictionSet:
     Attributes:
         probs: (N, K) float64, validated and renormalized as above.
         truth: (N,) int64 class indices in [0, K); a label that is not
-            an integer (2.5, nan) is refused, not truncated.
+            an integer (2.5, nan) or lies outside int64 is refused, not
+            truncated or wrapped.
         class_names: K unique names giving the column order.
     """
 

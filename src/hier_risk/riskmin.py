@@ -90,17 +90,6 @@ class CostMatrix:
                 raise ValueError("class names must be unique")
         self.class_names = class_names
 
-    def scaled(self, factor: float) -> "CostMatrix":
-        """Side-door copy with every entry multiplied by ``factor``.
-
-        Unsigned entries, such as a taxonomy's compact LCA table, are
-        widened to int64 first, so no factor wraps around.
-        """
-        e = self.entries
-        if e.dtype.kind == "u":
-            e = e.astype(np.int64)
-        return CostMatrix(e * factor, self.class_names)
-
     def __repr__(self) -> str:
         return f"CostMatrix(K={self.K})"
 

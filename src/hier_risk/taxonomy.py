@@ -48,13 +48,18 @@ def _as_int(value, what: str, error=ValueError) -> int:
 
 
 def _as_ints(values, what: str) -> np.ndarray:
-    """``values`` as an int64 array, each entry checked by :func:`_as_int`
-    unless the array holds integers already."""
+    """``values`` as int64, each checked by :func:`_as_int` unless they
+    cast safely; an integer outside int64 is named, never wrapped."""
     a = np.asarray(values)
-    if a.dtype.kind in "iu":
+    if a.dtype.kind in "iu" and np.can_cast(a.dtype, np.int64):
         return a.astype(np.int64, copy=False)
-    return np.array([_as_int(v, what) for v in a.ravel().tolist()],
-                    dtype=np.int64).reshape(a.shape)
+    out = np.empty(a.size, dtype=np.int64)
+    for n, v in enumerate(a.ravel().tolist()):
+        try:
+            out[n] = _as_int(v, what)
+        except OverflowError:
+            raise ValueError(f"{what} within int64, got {v!r}") from None
+    return out.reshape(a.shape)
 
 
 class Taxonomy:

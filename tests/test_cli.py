@@ -15,9 +15,10 @@ import hier_risk
 from hier_risk import dataio
 from hier_risk import (FormatError, PredictionSet, build_cost_matrix,
                        full_report, load_hierarchy, load_metrics_report,
-                       load_predictions, parse_taxonomy, save_metrics_report)
+                       load_predictions, parse_taxonomy)
 from hier_risk.cli import main
-from hier_risk.dataio import PREDICTIONS_MAGIC, cost_matrix_to_csv
+from hier_risk.dataio import (PREDICTIONS_MAGIC, cost_matrix_to_csv,
+                              metrics_report_to_json)
 from hier_risk.riskmin import Ranking, batch_apply, batch_crm_top1
 
 
@@ -497,9 +498,9 @@ def test_damaged_gzip_input_exits_two(corpus, tmp_path, capsys, command,
         report = tmp_path / "r.json"
         tax = load_hierarchy(corpus["hier"])
         preds = load_predictions(corpus["preds"], tax)
-        save_metrics_report(full_report(preds, tax, "crm", k_list=(1, 5)),
-                            report)
-        report.write_bytes(damaged(report.read_bytes(), how))
+        text = metrics_report_to_json(full_report(preds, tax, "crm",
+                                                  k_list=(1, 5)))
+        report.write_bytes(damaged(text.encode(), how))
         with pytest.raises(FormatError, match="damaged gzip data"):
             load_metrics_report(report)
 
@@ -594,15 +595,22 @@ def test_shuffle_eval_json_frozen(tmp_path, capsys):
 
 
 def test_perfbench_trace_hooks_resolve():
-    # perfbench/trace_op.py rebinds these names to time the CLI path; a
-    # rename here would otherwise surface only under run.py --trace 1.
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "trace_op.py"
-    spec = importlib.util.spec_from_file_location("trace_op", path)
-    trace_op = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(trace_op)
-    for targets in trace_op.PATCHES.values():
+    # perfbench/trace_op.py rebinds these names to time the CLI path,
+    # check.py imports the report functions and run.py's setup probe
+    # calls two package names; a removal here would otherwise surface
+    # only when the benchmark runs.
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    loaded = {}
+    for name in ("trace_op", "check"):
+        spec = importlib.util.spec_from_file_location(name,
+                                                      bench / f"{name}.py")
+        loaded[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(loaded[name])
+    for targets in loaded["trace_op"].PATCHES.values():
         for owner, attr in targets:
             assert callable(getattr(owner, attr, None)), (owner, attr)
+    for attr in ("build_cost_matrix", "load_hierarchy"):
+        assert callable(getattr(hier_risk, attr, None)), attr
     tax = parse_taxonomy(SHUFFLE_HIER)
     preds = PredictionSet(np.array([[0.4, 0.0, 0.3, 0.3]]), np.array([2]),
                           ["a", "b", "c", "d"])

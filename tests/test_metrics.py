@@ -265,9 +265,15 @@ def test_truth_labels_and_depths_outside_the_classes_are_rejected():
 def test_non_integral_truth_labels_are_rejected():
     tax, preds = synth(K=4, N=2, tree_mode="balanced-binary")
     ranked = batch_apply(preds, None, "likelihood")
-    for labels, bad in (([0.9, 1.7], "0.9"), ([1, 2.5], "2.5"),
-                        ([np.nan, 0], "nan"), (["1", "2"], "'1'")):
-        match = rf"^truth labels must be integers, got {bad}$"
+    wide = np.array([2**64 - 1, 0], dtype=np.uint64)
+    for labels, bad in (([0.9, 1.7], ", got 0.9"), ([1, 2.5], ", got 2.5"),
+                        ([np.nan, 0], ", got nan"), (["1", "2"], ", got '1'"),
+                        # Integral, but outside int64: named, not wrapped.
+                        ([1e30, 0], r" within int64, got 1e\+30"),
+                        ([2**70, 0], f" within int64, got {2**70}"),
+                        ([0, -2**70], f" within int64, got {-2**70}"),
+                        (wide, f" within int64, got {2**64 - 1}")):
+        match = rf"^truth labels must be integers{bad}$"
         with pytest.raises(ValueError, match=match):
             evaluate(ranked, labels, tax)
         with pytest.raises(ValueError, match=match):
@@ -278,8 +284,9 @@ def test_non_integral_truth_labels_are_rejected():
     floats = [float(t) for t in preds.truth]
     assert (evaluate(ranked, floats, tax)
             == evaluate(ranked, preds.truth, tax))
-    assert (PredictionSet(preds.probs, floats, preds.class_names).truth
-            .tolist() == preds.truth.tolist())
+    for labels in (floats, preds.truth.astype(np.uint64)):
+        assert (PredictionSet(preds.probs, labels, preds.class_names).truth
+                .tolist() == preds.truth.tolist())
     empty = PredictionSet(np.zeros((0, 4)), [], preds.class_names)
     assert empty.truth.dtype == np.int64 and empty.N == 0
     assert evaluate(batch_apply(empty, None, "likelihood"), [],

@@ -52,9 +52,10 @@ def test_cost_matrix_bound_is_the_largest_magnitude():
     C = CostMatrix(np.array([[0.0, -3.0, 1.0], [-3.0, 0.0, 2.0],
                              [1.0, 2.0, 0.0]]))
     assert C.bound == 3.0
-    assert C.scaled(-2.5).bound == 7.5
+    assert CostMatrix(C.entries.astype(np.int64) * -2.5).bound == 7.5
     T = build_cost_matrix(parse_taxonomy("a\tp\nb\tp\nc\tr\np\tr\n"))
-    assert T.bound == 2.0 and T.scaled(-2.5).bound == 5.0
+    assert T.bound == 2.0
+    assert CostMatrix(T.entries.astype(np.int64) * -2.5).bound == 5.0
 
 
 def test_cost_matrix_class_name_validation():
@@ -68,7 +69,7 @@ def test_cost_matrix_entries_are_read_only():
     # The kernel reads ``entries`` itself, so a write could only make the
     # exported table and the risks disagree; it must fail instead.
     C = build_cost_matrix(parse_taxonomy("a\tp\nb\tp\nc\tr\np\tr\n"))
-    for M in (C, C.scaled(2)):
+    for M in (C, CostMatrix(C.entries.astype(np.int64) * 2)):
         assert M.entries.flags.c_contiguous
         with pytest.raises(ValueError, match="read-only"):
             M.entries[0, 2] = 7
@@ -86,27 +87,21 @@ def test_taxonomy_costs_adopt_the_cached_lca_table():
     assert not np.shares_memory(CostMatrix(raw).entries, raw)
 
 
-def test_scaled_returns_new_matrix():
-    C = build_cost_matrix(TWO_BRANCH)
-    D = C.scaled(2.5)
-    assert np.array_equal(D.entries, C.entries * 2.5)
-    assert C.entries[0, 1] == 1
-    assert D.class_names == C.class_names
-
-
 @pytest.mark.parametrize("factor", [1000, -1, 100, 2.5, -0.75])
 def test_scaled_compact_table_matches_int64_scaling(factor):
-    # The taxonomy table is uint8; scaling it must give what the int64
-    # table gave, with no wrap-around and no overflow error.
-    tax = gen_taxonomy(SynthConfig(seed=4, K=50, N=0,
-                                   tree_mode="random-attachment"))
+    # The taxonomy table is uint8 and the kernel widens whatever table
+    # it reads exactly: the compact table, and its int64 widening times
+    # ``factor``, rank with the same bits as float64 copies of them.
+    tax, preds = synth_batch(4, 50, 40)
     C = build_cost_matrix(tax)
     assert C.entries.dtype == np.uint8
-    expected = C.entries.astype(np.int64) * factor
-    D = C.scaled(factor)
-    assert D.entries.dtype == expected.dtype
-    assert np.array_equal(D.entries, expected)
-    assert D.class_names == C.class_names
+    for M in (C, CostMatrix(C.entries.astype(np.int64) * factor,
+                            C.class_names)):
+        F = CostMatrix(M.entries.astype(np.float64), C.class_names)
+        assert M.bound == F.bound
+        ranked, ref = (batch_apply(preds, D, "crm") for D in (M, F))
+        assert np.array_equal(ranked.permutation, ref.permutation)
+        assert np.array_equal(ranked.scores, ref.scores)
 
 
 def test_probability_vector_validation():
@@ -166,11 +161,12 @@ def test_rerank_outputs_are_consistent():
 
 def test_rerank_is_scale_invariant():
     C = build_cost_matrix(TWO_BRANCH)
+    scaled = CostMatrix(C.entries.astype(np.int64) * 7.25, C.class_names)
     rng = np.random.Generator(np.random.PCG64(4))
     for _ in range(50):
         p = rng.dirichlet(np.ones(4))
         assert np.array_equal(crm_rerank(p, C).permutation,
-                              crm_rerank(p, C.scaled(7.25)).permutation)
+                              crm_rerank(p, scaled).permutation)
 
 
 def test_flat_costs_reduce_to_likelihood_order():
@@ -387,7 +383,7 @@ def test_certified_batch_ranking_is_the_kernel_ranking(seed, K, tree_mode,
     tax = gen_taxonomy(SynthConfig(seed=seed, K=K, N=0, tree_mode=tree_mode))
     C = build_cost_matrix(tax)
     if scale != 1.0:
-        C = C.scaled(scale)
+        C = CostMatrix(C.entries.astype(np.int64) * scale, C.class_names)
     raw = adversarial_rows(np.random.Generator(np.random.PCG64(seed)), K,
                            kinds)
     preds = PredictionSet(raw, np.zeros(len(raw), dtype=np.int64),
