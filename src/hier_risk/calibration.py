@@ -83,18 +83,15 @@ class BinTally:
 
     Blocks are added in order, and each confidence is added onto its
     bin's running sum in that order, so the bins hold the same bits
-    whatever the block split. ``source`` names where the rankings come
-    from and must agree with each ranking's basis.
+    whatever the block split. Each row is binned at the class its
+    ranking puts first, whatever the ranking's basis.
     """
 
-    def __init__(self, B: int, source: str = "max-likelihood"):
+    def __init__(self, B: int):
         B = _as_int(B, "bin count must be an integer")
         if B < 1:
             raise ValueError(f"bin count must be >= 1, got {B}")
-        self.basis = CONFIDENCE_SOURCES.get(source)
-        if self.basis is None:
-            raise ValueError(f"unknown confidence source {source!r}")
-        self.B, self.source, self.n = B, source, 0
+        self.B, self.n = B, 0
         self.counts = np.zeros(B, dtype=np.int64)
         self.hits = np.zeros(B, dtype=np.int64)
         self.csum = np.zeros(B)
@@ -102,9 +99,6 @@ class BinTally:
     def add(self, preds: PredictionSet, ranked: Ranking) -> None:
         if len(ranked) != preds.N:
             raise ValueError("ranked outputs and predictions differ in length")
-        if ranked.basis != self.basis:
-            raise ValueError(f"ranking basis {ranked.basis!r} does not match "
-                             f"source {self.source!r}")
         top = ranked.permutation[:, 0]
         conf = preds.probs[np.arange(preds.N), top]
         idx = np.ceil(conf * self.B).astype(np.int64) - 1
@@ -127,15 +121,14 @@ class BinTally:
 
 
 def bin_confidences(preds: PredictionSet, ranked: Ranking,
-                    B: int, source: str = "max-likelihood") -> CalibrationBins:
+                    B: int) -> CalibrationBins:
     """Histogram per-sample confidences into B equal-width bins.
 
     A sample's confidence is the probability its row assigns to the
     first-ranked class; correctness is that class matching the truth.
-    ``source`` names where the ranking came from and must agree with the
-    ranking's basis. This is a :class:`BinTally` of one block.
+    This is a :class:`BinTally` of one block.
     """
-    tally = BinTally(B, source)
+    tally = BinTally(B)
     tally.add(preds, ranked)
     return tally.bins()
 
@@ -256,4 +249,4 @@ def hierarchical_ece(preds: PredictionSet, tax: Taxonomy, depth: int,
         summed[:, g] = preds.probs[:, col == g].sum(axis=1)
     collapsed = PredictionSet(summed, col[preds.truth], names)
     ranked = batch_apply(collapsed, None, LIKELIHOOD, depth=1)
-    return ece(bin_confidences(collapsed, ranked, B, "max-likelihood"))
+    return ece(bin_confidences(collapsed, ranked, B))

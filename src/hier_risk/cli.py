@@ -15,7 +15,8 @@ Each checks its flags, the hierarchy, the headers and the tables it needs
 (calibrate: the validation split and its fit) before it reads a row of
 the file it streams, then reports the first fault there in file order.
 Without --k, eval and shuffle-eval report the depths of 1,5,20 that are
-at most the class count.
+at most the class count. eval --basis crm exits 1 if a class holding
+more than half a row's mass is not its top-1 (Theorem 1).
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-# bin_confidences, cost_matrix_to_csv and full_report are not called here;
-# they stay bound because perfbench/trace_op.py rebinds them.
+# bin_confidences, cost_matrix_to_csv, full_report and PredictionSet are
+# unused here; they stay bound because perfbench/trace_op.py rebinds them.
 from .calibration import (BinTally, CalibrationReport, CONFIDENCE_SOURCES,
                           apply_temperature, bin_confidences, ece,
                           fit_temperature, mce)
@@ -33,7 +34,7 @@ from .dataio import (_write_lines, calibration_report_to_json,
                      metrics_report_to_json, read_predictions,
                      save_cost_matrix, save_hierarchy, save_predictions)
 from .metrics import DEFAULT_K_LIST, Evaluation, full_report
-from .predictions import PredictionSet
+from .predictions import PredictionSet, _passed
 from .riskmin import batch_apply, build_cost_matrix
 from .synth import SynthConfig, TREE_MODES, TRUTH_MODES, gen_predictions, \
     gen_taxonomy
@@ -71,11 +72,10 @@ def _cmd_eval(args) -> str:
     _, blocks = read_predictions(args.predictions, tax)
     ev = Evaluation(tax, args.k)
     C = build_cost_matrix(tax) if args.basis == "crm" else None
-    check = args.theorem1_fastpath and C is not None
     for block in blocks:
         ranked = batch_apply(block, C, args.basis, depth=ev.ks[-1])
         ev.count(ranked, block.truth)
-        if check:
+        if C is not None:
             # Theorem 1: on taxonomy costs a class holding more than half
             # the mass is the risk minimizer, so the certified top-1 must
             # be the argmax on every such row.
@@ -98,17 +98,16 @@ def _cmd_calibrate(args) -> str:
                          "order; pass --hierarchy to align them by name")
     temperature = fit_temperature(val)
     del val
-    basis, C = "likelihood", None
-    if args.source == "crm-selected":
-        basis, C = "crm", build_cost_matrix(tax)
+    basis = CONFIDENCE_SOURCES[args.source]
+    C = build_cost_matrix(tax) if basis == "crm" else None
     # Each test block is binned at rank 0 before and after scaling, which
-    # is row-wise, then dropped.
-    pre = BinTally(args.bins, args.source)
-    post = BinTally(args.bins, args.source)
+    # is row-wise, then dropped; scaled rows skip the row rule, which
+    # would divide a softmax row by its sum a second time.
+    pre, post = BinTally(args.bins), BinTally(args.bins)
     for block in blocks:
         pre.add(block, batch_apply(block, C, basis, depth=1))
-        block = PredictionSet(apply_temperature(block.probs, temperature),
-                              block.truth, names, _adopt=True)
+        block = _passed(apply_temperature(block.probs, temperature),
+                        block.truth, names)
         post.add(block, batch_apply(block, C, basis, depth=1))
     if pre.n == 0:
         raise ValueError("test prediction file has no rows")
@@ -187,10 +186,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predictions", required=True)
     p.add_argument("--basis", choices=("likelihood", "crm"), default="crm")
     p.add_argument("--k", type=_k_list, help=k_help)
-    p.add_argument("--theorem1-fastpath", action="store_true",
-                   help="check Theorem 1 on the certified top-1: every "
-                        "row with max p > 0.5 keeps its argmax; ignored "
-                        "under --basis likelihood, whose top-1 is the argmax")
     add_common(p, threads=True)
     p.set_defaults(func=_cmd_eval)
 

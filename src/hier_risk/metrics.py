@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .predictions import PredictionSet
-from .riskmin import (RISK, Ranking, _normalize_basis, batch_apply,
-                      build_cost_matrix)
+from .riskmin import RISK, Ranking, batch_apply, build_cost_matrix
 from .taxonomy import Taxonomy, _as_int, _as_ints, node_height
 
 __all__ = [
@@ -159,10 +158,9 @@ def full_report(preds: PredictionSet, tax: Taxonomy, basis: str,
     cost matrix is built for the risk basis only. ``k_list=None`` means
     the entries of ``DEFAULT_K_LIST`` that are at most K."""
     ev = Evaluation(tax, k_list)
-    b = _normalize_basis(basis)
     if preds.class_names != tax.class_names:
         raise ValueError("class order mismatch between predictions and "
                          "cost matrix")
-    C = build_cost_matrix(tax) if b == RISK else None
-    ev.count(batch_apply(preds, C, b, depth=ev.ks[-1]), preds.truth)
+    C = build_cost_matrix(tax) if basis == RISK else None
+    ev.count(batch_apply(preds, C, basis, depth=ev.ks[-1]), preds.truth)
     return ev.report()

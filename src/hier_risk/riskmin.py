@@ -48,8 +48,8 @@ __all__ = [
     "batch_crm_top1",
 ]
 
-LIKELIHOOD = "likelihood-descending"
-RISK = "risk-ascending"
+LIKELIHOOD = "likelihood"
+RISK = "crm"
 
 
 class CostMatrix:
@@ -116,8 +116,7 @@ class Ranking:
     basis: str = LIKELIHOOD
 
     def __post_init__(self):
-        if self.basis not in (LIKELIHOOD, RISK):
-            raise ValueError(f"unknown ranking basis {self.basis!r}")
+        _check_basis(self.basis)
 
     def __len__(self) -> int:
         if self.permutation.ndim != 2:
@@ -265,12 +264,9 @@ def likelihood_rank(p) -> Ranking:
     return Ranking(order.astype(np.int64), q, LIKELIHOOD)
 
 
-def _normalize_basis(basis: str) -> str:
-    if basis in (LIKELIHOOD, "likelihood"):
-        return LIKELIHOOD
-    if basis in (RISK, "crm", "risk"):
-        return RISK
-    raise ValueError(f"unknown ranking basis {basis!r}")
+def _check_basis(basis: str) -> None:
+    if basis not in (LIKELIHOOD, RISK):
+        raise ValueError(f"unknown ranking basis {basis!r}")
 
 
 def _check_costs(preds: PredictionSet, C: CostMatrix) -> None:
@@ -284,7 +280,8 @@ def _check_costs(preds: PredictionSet, C: CostMatrix) -> None:
 
 def batch_apply(preds: PredictionSet, C: CostMatrix | None,
                 basis: str, depth: int | None = None) -> Ranking:
-    """Rank every sample under the chosen basis, to ``depth`` classes.
+    """Rank every sample by descending likelihood (``basis`` "likelihood")
+    or ascending risk ("crm"), to ``depth`` classes.
 
     Row i's permutation is bit-identical to the single-sample call on
     row i, cut to its first ``depth`` classes; None, or any depth of K
@@ -297,14 +294,14 @@ def batch_apply(preds: PredictionSet, C: CostMatrix | None,
     the result are exact integer sums with one final division, so they
     do not depend on the order of the rows.
     """
-    b = _normalize_basis(basis)
+    _check_basis(basis)
     if C is not None:
         _check_costs(preds, C)
     m = preds.K if depth is None else min(
         _as_int(depth, "ranking depth must be an integer"), preds.K)
     if m < 1:
         raise ValueError(f"ranking depth must be >= 1, got {depth}")
-    if b == RISK:
+    if basis == RISK:
         if C is None:
             raise ValueError("risk basis requires a cost matrix")
         order, scores = _certified_rank(preds.probs, C, depth=m)
@@ -316,7 +313,7 @@ def batch_apply(preds: PredictionSet, C: CostMatrix | None,
         for lo in range(0, preds.N, step):
             order[lo:lo + step] = np.argsort(-scores[lo:lo + step], axis=1,
                                              kind="stable")[:, :m]
-    return Ranking(order, scores, b)
+    return Ranking(order, scores, basis)
 
 
 def batch_crm_top1(preds: PredictionSet, C: CostMatrix,

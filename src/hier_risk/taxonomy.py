@@ -287,12 +287,17 @@ def node_height(tax: Taxonomy, node: int) -> int:
 
 
 def lca_height(tax: Taxonomy, i: int, j: int) -> int:
-    """Height of the lowest common ancestor of classes i and j."""
+    """Height of the lowest common ancestor of classes i and j, walking
+    up from both leaves, deeper one first: no K x K table is built."""
     i, j = (_as_int(c, "class index must be an integer") for c in (i, j))
     K = tax.K
     if not (0 <= i < K and 0 <= j < K):
         raise ValueError(f"class index out of range: ({i}, {j})")
-    return int(tax.lca_matrix()[i, j])
+    d, up = tax._depths, tax.parent
+    u, v = tax.leaves[i], tax.leaves[j]
+    while u != v:
+        u, v = (up[u], v) if d[u] >= d[v] else (u, up[v])
+    return tax._heights[u]
 
 
 def collapse_to_depth(tax: Taxonomy, depth: int) -> dict[int, int]:

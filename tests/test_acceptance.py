@@ -183,7 +183,7 @@ def test_04_risk_ranking_beats_likelihood_on_distance_at_five():
 def _ranked(perms):
     perms = np.asarray(perms, dtype=np.int64)
     q = np.full(perms.shape, 1.0 / perms.shape[1])
-    return Ranking(perms, q, "likelihood-descending")
+    return Ranking(perms, q, "likelihood")
 
 
 def test_05_mistake_mean_rewards_adding_mild_mistakes():

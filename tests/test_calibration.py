@@ -34,10 +34,6 @@ def test_bin_confidences_validation():
     ranked = batch_apply(preds, None, "likelihood")
     with pytest.raises(ValueError, match=">= 1"):
         bin_confidences(preds, ranked, 0)
-    with pytest.raises(ValueError, match="confidence source"):
-        bin_confidences(preds, ranked, 10, "argmax")
-    with pytest.raises(ValueError, match="does not match"):
-        bin_confidences(preds, ranked, 10, "crm-selected")
     with pytest.raises(ValueError, match="length"):
         bin_confidences(preds, [], 10)
 
@@ -242,7 +238,7 @@ def test_crm_selected_confidence_uses_risk_ranking():
     preds = gen_predictions(cfg, tax)
     C = build_cost_matrix(tax)
     ranked = batch_apply(preds, C, "crm")
-    bins = bin_confidences(preds, ranked, 15, "crm-selected")
+    bins = bin_confidences(preds, ranked, 15)
     # Confidence is the likelihood mass on the risk-selected class,
     # which cannot exceed the max likelihood, so the mean confidence is
     # no larger than under the likelihood ranking.

@@ -1,3 +1,4 @@
+import argparse
 import gzip
 import importlib
 import importlib.util
@@ -13,12 +14,14 @@ import pytest
 
 import hier_risk
 from hier_risk import dataio
-from hier_risk import (FormatError, PredictionSet, build_cost_matrix,
-                       full_report, load_hierarchy, load_metrics_report,
-                       load_predictions, parse_taxonomy)
+from hier_risk import (FormatError, PredictionSet, apply_temperature,
+                       bin_confidences, build_cost_matrix, ece, full_report,
+                       load_hierarchy, load_metrics_report, load_predictions,
+                       mce, parse_taxonomy, save_predictions)
 from hier_risk.cli import main
 from hier_risk.dataio import (PREDICTIONS_MAGIC, cost_matrix_to_csv,
                               metrics_report_to_json)
+from hier_risk.predictions import _passed
 from hier_risk.riskmin import Ranking, batch_apply, batch_crm_top1
 
 
@@ -77,10 +80,10 @@ def test_eval_is_deterministic_and_thread_invariant(corpus, capsys):
     args = ["eval", "--hierarchy", corpus["hier"],
             "--predictions", corpus["preds"], "--k", "1,5"]
     outs = []
-    for extra in ([], [], ["--threads", "3"], ["--theorem1-fastpath"]):
+    for extra in ([], [], ["--threads", "3"]):
         assert main(args + extra) == 0
         outs.append(capsys.readouterr().out)
-    assert outs[0] == outs[1] == outs[2] == outs[3]
+    assert outs[0] == outs[1] == outs[2]
 
 
 def test_eval_rejects_oversized_k(corpus, capsys):
@@ -105,6 +108,18 @@ def test_calibrate_outputs_report(corpus, capsys):
     doc2 = json.loads(capsys.readouterr().out)
     assert doc2["confidence_source"] == "crm-selected"
     assert doc2["temperature"] == doc["temperature"]
+    # The scaled rows are binned as apply_temperature returns them: a
+    # softmax row whose sum is not exactly 1.0 is not divided again.
+    test = load_predictions(corpus["preds"])
+    q = apply_temperature(test.probs, doc["temperature"])
+    scaled = _passed(q, test.truth, test.class_names)
+    C = build_cost_matrix(load_hierarchy(corpus["hier"]))
+    for report, costs, basis in ((doc, None, "likelihood"),
+                                 (doc2, C, "crm")):
+        bins = bin_confidences(scaled, batch_apply(scaled, costs, basis,
+                                                   depth=1), 15)
+        assert (report["ece_post"], report["mce_post"]) == (ece(bins),
+                                                             mce(bins))
 
 
 def test_calibrate_requires_hierarchy_for_crm_source(corpus, capsys):
@@ -280,6 +295,41 @@ def test_wide_eval_peak_memory_stays_under_ceiling(tmp_path, checkout_env):
     assert rc == 0, run.stderr
     assert load_metrics_report(out).n_mistakes >= 0
     assert maxrss_kib / 1024 < 400, maxrss_kib
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in KiB on Linux")
+def test_deep_eval_peak_memory_stays_under_ceiling(tmp_path, checkout_env):
+    # A caterpillar tree, K=3001 and height 3000: one leaf hangs off each
+    # of 3000 spine nodes and two off the last. eval --basis likelihood
+    # peaks at about 66 MB with its uint16 K x K table (18 MB, two while
+    # it is built). Prototypes of the same report peaked above 200 MB
+    # gathering from a (K, depth + 1) array of root paths, and at 41 MB
+    # from the K - 1 adjacent-leaf LCA heights in depth-first order, so
+    # the ceiling lets the table and a depth-free encoding through, not
+    # root paths.
+    H = 3000
+    edges = [f"s{i}\ts{i - 1}" for i in range(1, H)]
+    edges += [f"c{i:04d}\ts{min(i, H - 1)}" for i in range(H + 1)]
+    h, p = tmp_path / "h.tsv", tmp_path / "p.csv"
+    h.write_text("\n".join(edges) + "\n")
+    tax = parse_taxonomy(h.read_text())
+    assert (tax.K, tax.heights()[tax.root]) == (H + 1, H)
+    rng = np.random.default_rng(1)
+    save_predictions(PredictionSet(rng.dirichlet(np.ones(tax.K), size=200),
+                                   rng.integers(0, tax.K, 200),
+                                   tax.class_names), str(p))
+    out = tmp_path / "m.json"
+    run = subprocess.run(
+        [sys.executable, "-c", LAUNCH, sys.executable, "-m", "hier_risk",
+         "eval", "--hierarchy", str(h), "--predictions", str(p),
+         "--basis", "likelihood", "--out", str(out)],
+        capture_output=True, text=True, env=checkout_env,
+    )
+    rc, maxrss_kib = map(int, run.stdout.split())
+    assert rc == 0, run.stderr
+    assert load_metrics_report(out).n_mistakes >= 0
+    assert maxrss_kib / 1024 < 128, maxrss_kib
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -628,8 +678,7 @@ def test_theorem1_check_fails_loudly(corpus, capsys, monkeypatch):
         return Ranking(perm, ranked.scores, ranked.basis)
     monkeypatch.setattr("hier_risk.cli.batch_apply", shifted)
     code = main(["eval", "--hierarchy", corpus["hier"],
-                 "--predictions", corpus["preds"], "--k", "1,5",
-                 "--theorem1-fastpath"])
+                 "--predictions", corpus["preds"], "--k", "1,5"])
     assert code == 1
     assert capsys.readouterr().err.startswith("internal error:")
 
@@ -669,3 +718,17 @@ def test_every_exported_name_resolves():
     for module in modules:
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), (module.__name__, name)
+
+
+def test_readme_flags_are_cli_options():
+    # Every --flag the README names must be an option of some
+    # subcommand, so a removed flag cannot linger in the docs. pip's
+    # --no-build-isolation is the one flag that is not the CLI's.
+    from hier_risk.cli import _build_parser
+    (sub,) = [a for a in _build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    options = {opt for p in sub.choices.values()
+               for opt in p._option_string_actions}
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
+    assert named - options == {"--no-build-isolation"}

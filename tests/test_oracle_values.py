@@ -115,7 +115,7 @@ def test_flaw_check_frozen_instances():
 def _ranked(perms):
     perms = np.asarray(perms, dtype=np.int64)
     q = np.full(perms.shape, 1.0 / perms.shape[1])
-    return Ranking(perms, q, "likelihood-descending")
+    return Ranking(perms, q, "likelihood")
 
 
 def test_severity_means_and_histogram():
@@ -165,7 +165,7 @@ def test_binning_ece_mce_dyadic_exact():
     truth = np.array([1, 2, 0, 3])
     preds = PredictionSet(probs, truth, ["a", "b", "c", "d"])
     ranked = batch_apply(preds, None, "likelihood")
-    bins = bin_confidences(preds, ranked, 2, "max-likelihood")
+    bins = bin_confidences(preds, ranked, 2)
     assert bins.counts.tolist() == [2, 2]
     assert bins.mean_conf.tolist() == [0.3125, 0.6875]
     assert bins.accuracy.tolist() == [0.0, 0.5]

@@ -262,8 +262,8 @@ def test_batch_apply_matches_single_sample_calls():
     probs = dyadic_rows(2, 64, 7)
     truth = np.zeros(64, dtype=np.int64)
     preds = PredictionSet(probs, truth, C.class_names)
-    for basis, alias in ((RISK, "crm"), (LIKELIHOOD, "likelihood")):
-        batch = batch_apply(preds, C, alias)
+    for basis in (RISK, LIKELIHOOD):
+        batch = batch_apply(preds, C, basis)
         for i in range(preds.N):
             if basis is RISK:
                 single = crm_rerank(probs[i], C)
@@ -296,12 +296,12 @@ def test_likelihood_batch_sorts_in_row_blocks():
 def test_batch_apply_accepts_full_basis_names():
     tax, preds = synth_batch(5, 4, 8)
     C = build_cost_matrix(tax)
-    a = batch_apply(preds, C, "risk-ascending")
-    b = batch_apply(preds, C, "crm")
-    assert all(np.array_equal(x.permutation, y.permutation)
-               for x, y in zip(a, b))
-    with pytest.raises(ValueError, match="basis"):
-        batch_apply(preds, C, "best-first")
+    # One name per basis, the one eval --basis takes: the long names and
+    # the "risk" alias are refused, not mapped.
+    for name in ("risk-ascending", "likelihood-descending", "risk",
+                 "best-first"):
+        with pytest.raises(ValueError, match="unknown ranking basis"):
+            batch_apply(preds, C, name)
 
 
 def test_batch_apply_requires_costs_for_risk_basis():

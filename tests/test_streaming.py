@@ -94,8 +94,7 @@ def test_reports_do_not_depend_on_the_block_size(corpus, rows, seed):
         for basis in ("likelihood", "crm"):
             for ks in ("1", f"1,2,{K}"):
                 commands.append(["eval", "--predictions", p, "--basis",
-                                 basis, "--k", ks, "--theorem1-fastpath",
-                                 *hier])
+                                 basis, "--k", ks, *hier])
         for argv in commands:
             whole = run(argv)
             assert whole[0] == (2 if len(truth) == 0 and
