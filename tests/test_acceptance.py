@@ -146,9 +146,11 @@ def test_03_vectorized_risks_and_lca_match_reference_walks():
         worst = max(worst, float(gap))
     assert worst <= RISK_ORACLE_TOL
     for tax, _ in pool:
+        L = tax.lca_matrix()
         for i in range(tax.K):
             for j in range(tax.K):
                 assert lca_height(tax, i, j) == oracle_lca(tax, i, j)
+                assert L[i, j] == oracle_lca(tax, i, j)
 
 
 def paired_distance5_margin(preds, tax):

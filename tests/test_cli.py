@@ -17,12 +17,14 @@ from hier_risk import dataio
 from hier_risk import (FormatError, PredictionSet, apply_temperature,
                        bin_confidences, build_cost_matrix, ece, full_report,
                        load_hierarchy, load_metrics_report, load_predictions,
-                       mce, parse_taxonomy, save_predictions)
+                       mce, parse_taxonomy, save_hierarchy,
+                       save_predictions)
 from hier_risk.cli import main
 from hier_risk.dataio import (PREDICTIONS_MAGIC, cost_matrix_to_csv,
                               metrics_report_to_json)
 from hier_risk.predictions import _passed
 from hier_risk.riskmin import Ranking, batch_apply, batch_crm_top1
+from test_taxonomy import caterpillar
 
 
 @pytest.fixture()
@@ -273,6 +275,22 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
+def _eval_peak_mib(tmp_path, env, h, p, basis):
+    """Run eval on the hierarchy h and predictions p in a child started
+    by LAUNCH; return the child's peak RSS in MiB."""
+    out = tmp_path / "m.json"
+    run = subprocess.run(
+        [sys.executable, "-c", LAUNCH, sys.executable, "-m", "hier_risk",
+         "eval", "--hierarchy", str(h), "--predictions", str(p),
+         "--basis", basis, "--out", str(out)],
+        capture_output=True, text=True, env=env,
+    )
+    rc, maxrss_kib = map(int, run.stdout.split())
+    assert rc == 0, run.stderr
+    assert load_metrics_report(out).n_mistakes >= 0
+    return maxrss_kib / 1024
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="ru_maxrss is in KiB on Linux")
 def test_wide_eval_peak_memory_stays_under_ceiling(tmp_path, checkout_env):
@@ -284,52 +302,29 @@ def test_wide_eval_peak_memory_stays_under_ceiling(tmp_path, checkout_env):
                  "--samples", "6", "--concentration", "0.3",
                  "--tree-mode", "random-attachment",
                  "--out-predictions", str(p), "--out-hierarchy", str(h)]) == 0
-    out = tmp_path / "m.json"
-    run = subprocess.run(
-        [sys.executable, "-c", LAUNCH, sys.executable, "-m", "hier_risk",
-         "eval", "--hierarchy", str(h), "--predictions", str(p),
-         "--basis", "crm", "--out", str(out)],
-        capture_output=True, text=True, env=checkout_env,
-    )
-    rc, maxrss_kib = map(int, run.stdout.split())
-    assert rc == 0, run.stderr
-    assert load_metrics_report(out).n_mistakes >= 0
-    assert maxrss_kib / 1024 < 400, maxrss_kib
+    assert _eval_peak_mib(tmp_path, checkout_env, h, p, "crm") < 400
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="ru_maxrss is in KiB on Linux")
 def test_deep_eval_peak_memory_stays_under_ceiling(tmp_path, checkout_env):
-    # A caterpillar tree, K=3001 and height 3000: one leaf hangs off each
-    # of 3000 spine nodes and two off the last. eval --basis likelihood
-    # peaks at about 66 MB with its uint16 K x K table (18 MB, two while
-    # it is built). Prototypes of the same report peaked above 200 MB
-    # gathering from a (K, depth + 1) array of root paths, and at 41 MB
-    # from the K - 1 adjacent-leaf LCA heights in depth-first order, so
-    # the ceiling lets the table and a depth-free encoding through, not
-    # root paths.
-    H = 3000
-    edges = [f"s{i}\ts{i - 1}" for i in range(1, H)]
-    edges += [f"c{i:04d}\ts{min(i, H - 1)}" for i in range(H + 1)]
+    # test_taxonomy's caterpillar tree at K=3001, height 3000. eval
+    # --basis likelihood peaks at about 66 MB with its uint16 K x K table
+    # (18 MB, two while it is built). Two uncommitted prototypes of the
+    # same report, each measured once on a 2-vCPU Linux VM, peaked at
+    # about 200 MB gathering from a (K, depth + 1) array of root paths and
+    # at 41 MB from the K - 1 adjacent-leaf LCA heights in depth-first
+    # order. The ceiling lets the table and a depth-free encoding
+    # through, not root paths.
+    tax = caterpillar(3000)
+    assert (tax.K, tax.heights()[tax.root]) == (3001, 3000)
     h, p = tmp_path / "h.tsv", tmp_path / "p.csv"
-    h.write_text("\n".join(edges) + "\n")
-    tax = parse_taxonomy(h.read_text())
-    assert (tax.K, tax.heights()[tax.root]) == (H + 1, H)
+    save_hierarchy(tax, str(h))
     rng = np.random.default_rng(1)
     save_predictions(PredictionSet(rng.dirichlet(np.ones(tax.K), size=200),
                                    rng.integers(0, tax.K, 200),
                                    tax.class_names), str(p))
-    out = tmp_path / "m.json"
-    run = subprocess.run(
-        [sys.executable, "-c", LAUNCH, sys.executable, "-m", "hier_risk",
-         "eval", "--hierarchy", str(h), "--predictions", str(p),
-         "--basis", "likelihood", "--out", str(out)],
-        capture_output=True, text=True, env=checkout_env,
-    )
-    rc, maxrss_kib = map(int, run.stdout.split())
-    assert rc == 0, run.stderr
-    assert load_metrics_report(out).n_mistakes >= 0
-    assert maxrss_kib / 1024 < 128, maxrss_kib
+    assert _eval_peak_mib(tmp_path, checkout_env, h, p, "likelihood") < 128
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),

@@ -113,6 +113,10 @@ def test_lca_matches_independent_walk_on_random_trees():
             for j in range(tax.K):
                 assert lca_height(tax, i, j) == oracle_lca(tax, i, j)
         assert tax._lca is None  # one pair never builds the K x K table
+        L = tax.lca_matrix()
+        for i in range(tax.K):
+            for j in range(tax.K):
+                assert L[i, j] == oracle_lca(tax, i, j)
 
 
 def test_chain_lca_values():
