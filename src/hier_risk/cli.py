@@ -11,6 +11,9 @@ accepted and ignored; it stays because perfbench/run.py passes it.
 eval, calibrate and shuffle-eval rank and reduce one block of rows at a
 time: eval and shuffle-eval hold one block plus integer tallies,
 calibrate the validation split plus one test block and per-bin totals.
+simulate mirrors the read side: it writes the blocks of
+synth.prediction_blocks as they are drawn, holding one block plus the
+labels drawn ahead, and opens no output file before that draw.
 Each checks its flags, the hierarchy, the headers and the tables it needs
 (calibrate: the validation split and its fit) before it reads a row of
 the file it streams, then reports the first fault there in file order.
@@ -24,20 +27,22 @@ from __future__ import annotations
 import argparse
 import sys
 
-# bin_confidences, cost_matrix_to_csv, full_report and PredictionSet are
-# unused here; they stay bound because perfbench/trace_op.py rebinds them.
+# bin_confidences, cost_matrix_to_csv, full_report, gen_predictions,
+# PredictionSet and save_predictions are unused here; they stay bound
+# because perfbench/trace_op.py rebinds them.
 from .calibration import (BinTally, CalibrationReport, CONFIDENCE_SOURCES,
                           apply_temperature, bin_confidences, ece,
                           fit_temperature, mce)
 from .dataio import (_write_lines, calibration_report_to_json,
                      cost_matrix_to_csv, load_hierarchy, load_predictions,
                      metrics_report_to_json, read_predictions,
-                     save_cost_matrix, save_hierarchy, save_predictions)
+                     save_cost_matrix, save_hierarchy, save_predictions,
+                     write_predictions)
 from .metrics import DEFAULT_K_LIST, Evaluation, full_report
 from .predictions import PredictionSet, _passed
 from .riskmin import batch_apply, build_cost_matrix
-from .synth import SynthConfig, TREE_MODES, TRUTH_MODES, gen_predictions, \
-    gen_taxonomy
+from .synth import (SynthConfig, TREE_MODES, TRUTH_MODES, gen_predictions,
+                    gen_taxonomy, prediction_blocks)
 from .taxonomy import shuffle_leaves
 
 __all__ = ["main"]
@@ -149,9 +154,9 @@ def _cmd_simulate(args) -> None:
         corrupt_rho=args.corrupt_rho, tree_mode=args.tree_mode,
     )
     tax = gen_taxonomy(cfg)
-    preds = gen_predictions(cfg, tax)
+    blocks = prediction_blocks(cfg, tax)  # every check before a file opens
     save_hierarchy(tax, args.out_hierarchy)
-    save_predictions(preds, args.out_predictions)
+    write_predictions(args.out_predictions, tax.class_names, blocks)
 
 
 def _build_parser() -> argparse.ArgumentParser:

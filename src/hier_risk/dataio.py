@@ -11,9 +11,11 @@ identical bytes, reports included. Prediction files stream through them
 in blocks of rows of about 1 MiB of text: ``read_predictions`` yields
 each block once it is checked, for a caller that reduces it and drops
 it, and ``load_predictions`` appends each to one N x K buffer, holding
-the float64 values once plus one block of lines. The cost-matrix CSV is
-written a block at a time too. Undecodable bytes are reported by line
-and byte.
+the float64 values once plus one block of lines. The write side mirrors
+that: ``write_predictions`` writes blocks as a producer yields them, and
+``save_predictions`` hands it a whole set's row blocks. The cost-matrix
+CSV is written a block at a time too. Undecodable bytes are reported by
+line and byte.
 
 Reports (``MetricsReport``, ``CalibrationReport``) go through one JSON
 emitter and one loader, both driven by the per-report field tables in
@@ -56,6 +58,7 @@ __all__ = [
     "load_predictions",
     "read_predictions",
     "save_predictions",
+    "write_predictions",
     "metrics_report_to_json",
     "calibration_report_to_json",
     "load_metrics_report",
@@ -321,21 +324,29 @@ def _check_csv_names(names) -> None:
             raise FormatError(f"class name {n!r} cannot be written to CSV")
 
 
-def save_predictions(preds: PredictionSet, path) -> None:
-    """Write the prediction CSV a block of rows at a time."""
-    names = preds.class_names
+def write_predictions(path, names, blocks) -> None:
+    """Write a prediction CSV from its class names and an iterable of
+    ``PredictionSet`` blocks, the write side of :func:`read_predictions`:
+    the names are checked before the file is opened, and each block's
+    lines are made as it is written, so one block is held at a time."""
     _check_csv_names(names)
-    step = _rows_per_block(preds.K)
 
     def lines():
         yield f"{PREDICTIONS_MAGIC}\ntruth,{','.join(names)}\n"
-        for lo in range(0, preds.N, step):
-            rows = zip(preds.truth[lo:lo + step].tolist(),
-                       preds.probs[lo:lo + step].tolist())
-            for t, row in rows:
+        for block in blocks:
+            for t, row in zip(block.truth.tolist(), block.probs.tolist()):
                 yield f"{names[t]},{','.join(map(repr, row))}\n"
 
     _write_lines(path, lines())
+
+
+def save_predictions(preds: PredictionSet, path) -> None:
+    """The set's rows through :func:`write_predictions`, a block at a time."""
+    step = _rows_per_block(preds.K)
+    write_predictions(path, preds.class_names, (
+        _passed(preds.probs[lo:lo + step], preds.truth[lo:lo + step],
+                preds.class_names)
+        for lo in range(0, preds.N, step)))
 
 
 # Report layouts: field -> kind, in dataclass field order. Kinds are

@@ -5,6 +5,8 @@ is numpy's PCG64; the tree stream is seeded with SeedSequence([seed, 0])
 and the prediction stream with SeedSequence([seed, 1]), so changing the
 tree mode never shifts the prediction draws. Draw orders are spelled
 out per generator and are part of the reproducibility contract.
+Prediction rows come a block at a time from :func:`prediction_blocks`,
+which keeps the whole-matrix draw order by reading the stream twice.
 
 The oracles are deliberately naive reimplementations (plain loops, path
 enumeration) kept free of the optimized code paths they cross-check.
@@ -12,11 +14,13 @@ enumeration) kept free of the optimized code paths they cross-check.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .predictions import PredictionSet
+from .dataio import _rows_per_block
+from .predictions import PredictionSet, _passed
 from .riskmin import CostMatrix
 from .taxonomy import Taxonomy, _check_seed, parse_taxonomy
 
@@ -24,6 +28,7 @@ __all__ = [
     "SynthConfig",
     "gen_taxonomy",
     "gen_predictions",
+    "prediction_blocks",
     "oracle_risk",
     "oracle_lca",
     "TREE_MODES",
@@ -62,6 +67,10 @@ class SynthConfig:
             raise ValueError("N must be >= 0")
         if not 0 < self.concentration < float("inf"):
             raise ValueError("concentration must be positive and finite")
+        if self.K * self.concentration > sys.float_info.max / 2:
+            raise ValueError(f"concentration {self.concentration!r} is too "
+                             f"large: a row of {self.K} gamma draws would "
+                             "overflow its sum")
         if self.truth_mode not in TRUTH_MODES:
             raise ValueError(f"unknown truth mode {self.truth_mode!r}")
         if not 0.0 <= self.corrupt_rho <= 1.0:
@@ -157,41 +166,66 @@ def gen_predictions(cfg: SynthConfig, tax: Taxonomy) -> PredictionSet:
          the replacement labels.
 
     argmax mode draws nothing beyond step 1 and labels each row by its
-    first maximum.
+    first maximum. Every label reads the normalized row, before the
+    set's row rule. This order holds unchanged for the blocks of
+    :func:`prediction_blocks`, which are copied here into one array.
+    """
+    probs = np.empty((cfg.N, cfg.K), dtype=np.float64)
+    truth = np.empty(cfg.N, dtype=np.int64)
+    lo = 0
+    for block in prediction_blocks(cfg, tax):
+        probs[lo:lo + block.N] = block.probs
+        truth[lo:lo + block.N] = block.truth
+        lo += block.N
+    return _passed(probs, truth, tax.class_names)
+
+
+def prediction_blocks(cfg: SynthConfig, tax: Taxonomy):
+    """The rows of :func:`gen_predictions`, bit for bit, as a generator
+    of ``PredictionSet`` blocks of ``_rows_per_block(K)`` rows.
+
+    The labels are drawn after every gamma, whose draws use a
+    data-dependent share of the stream, so it is read twice. Before
+    this returns, one generator draws and drops each block's gammas,
+    then draws the labels (17 bytes per row for corrupted, 8 for
+    self-sampled). The blocks redraw their gammas from a fresh one.
     """
     if tax.K != cfg.K:
         raise ValueError(
             f"taxonomy has {tax.K} classes but config says {cfg.K}"
         )
-    rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence([cfg.seed, 1]))
-    )
-    g = rng.gamma(cfg.concentration, 1.0, size=(cfg.N, cfg.K))
-    sums = g.sum(axis=1)
-    dead = sums == 0.0
-    if dead.any():
-        # All-zero rows cannot happen short of astronomical underflow;
-        # fall back to uniform rather than dividing by zero.
-        g[dead] = 1.0
-        sums[dead] = float(cfg.K)
-    g /= sums[:, None]  # in place: the same quotients as g / sums
-    probs = g
+    N, K, step = cfg.N, cfg.K, _rows_per_block(cfg.K)
+    seed = np.random.SeedSequence([cfg.seed, 1])
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for lo in range(0, N, step):
+        rng.gamma(cfg.concentration, 1.0, size=(min(step, N - lo), K))
+    u = rng.random(N) if cfg.truth_mode != "argmax" else None
+    if cfg.truth_mode == "corrupted":
+        mask = rng.random(N) < cfg.corrupt_rho
+        replacement = rng.integers(0, K, size=N)
 
-    if cfg.truth_mode == "argmax":
-        truth = np.argmax(probs, axis=1) if cfg.N else np.zeros(0, np.int64)
-    else:
-        u = rng.random(cfg.N)
-        # No (N, K) cumulative table outlives this line, and the set
-        # adopts probs, so one (N, K) array is left.
-        truth = np.minimum(
-            (np.cumsum(probs, axis=1) < u[:, None]).sum(axis=1), cfg.K - 1)
-        if cfg.truth_mode == "corrupted":
-            mask = rng.random(cfg.N) < cfg.corrupt_rho
-            replacement = rng.integers(0, cfg.K, size=cfg.N)
-            truth = np.where(mask, replacement, truth)
+    def blocks(rng):
+        for lo in range(0, N, step):
+            g = rng.gamma(cfg.concentration, 1.0, size=(min(step, N - lo), K))
+            sums = g.sum(axis=1)
+            dead = sums == 0.0
+            if dead.any():
+                # Every draw underflowed (tiny concentrations): fall back
+                # to uniform rather than dividing by zero.
+                g[dead] = 1.0
+                sums[dead] = float(K)
+            g /= sums[:, None]  # in place: the same quotients as g / sums
+            hi = lo + len(g)
+            if u is None:
+                truth = np.argmax(g, axis=1)
+            else:
+                truth = np.minimum(
+                    (np.cumsum(g, axis=1) < u[lo:hi, None]).sum(axis=1), K - 1)
+                if cfg.truth_mode == "corrupted":
+                    truth = np.where(mask[lo:hi], replacement[lo:hi], truth)
+            yield PredictionSet(g, truth, tax.class_names, _adopt=True)
 
-    return PredictionSet(probs, truth.astype(np.int64), tax.class_names,
-                         _adopt=True)
+    return blocks(np.random.Generator(np.random.PCG64(seed)))
 
 
 def oracle_risk(p, C: CostMatrix) -> np.ndarray:

@@ -228,20 +228,49 @@ def test_unknown_subcommand_exits_two(capsys):
     capsys.readouterr()
 
 
-def test_simulate_validates_config(tmp_path, capsys):
+def test_simulate_validates_config(tmp_path, capsys, monkeypatch):
+    # Every refused config, and running out of memory while the labels
+    # are drawn ahead, exits 2 before either output file is opened.
+    p, h = tmp_path / "p.csv", tmp_path / "h.tsv"
+    outs = ["--out-predictions", str(p), "--out-hierarchy", str(h)]
     code = main(["simulate", "--seed", "1", "--classes", "6",
-                 "--samples", "5", "--tree-mode", "balanced-binary",
-                 "--out-predictions", str(tmp_path / "p.csv"),
-                 "--out-hierarchy", str(tmp_path / "h.tsv")])
+                 "--samples", "5", "--tree-mode", "balanced-binary", *outs])
     assert code == 2
     assert "power of 2" in capsys.readouterr().err
+    assert not p.exists() and not h.exists()
     code = main(["simulate", "--seed", "-5", "--classes", "4",
-                 "--samples", "5",
-                 "--out-predictions", str(tmp_path / "p.csv"),
-                 "--out-hierarchy", str(tmp_path / "h.tsv")])
+                 "--samples", "5", *outs])
     assert code == 2
     assert capsys.readouterr().err == (
         "error: seed must be a non-negative integer, got -5\n")
+    assert not p.exists() and not h.exists()
+    # A row of 256 draws near 1e306 would sum to inf: no overflow
+    # warning, one line naming the concentration.
+    code = main(["simulate", "--seed", "1", "--classes", "256",
+                 "--samples", "500", "--concentration", "1e306", *outs])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: concentration 1e+306 is too large")
+    assert err.count("\n") == 1
+    assert not p.exists() and not h.exists()
+
+    real = np.random.Generator
+
+    class Exhausted:
+        def __init__(self, bit_generator):
+            self.gamma = real(bit_generator).gamma
+
+        def random(self, *args, **kwargs):
+            raise MemoryError("Unable to allocate 7.45 GiB for an array")
+
+    monkeypatch.setattr(np.random, "Generator", Exhausted)
+    code = main(["simulate", "--seed", "1", "--classes", "4",
+                 "--samples", "5", *outs])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory (Unable to allocate")
+    assert err.count("\n") == 1
+    assert not p.exists() and not h.exists()
 
 
 def test_module_entry_point_runs(tmp_path, checkout_env):
@@ -330,9 +359,10 @@ def test_deep_eval_peak_memory_stays_under_ceiling(tmp_path, checkout_env):
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="ru_maxrss is in KiB on Linux")
 def test_streamed_peak_memory_is_flat_in_n(tmp_path, checkout_env):
-    # eval and calibrate rank and reduce one block of rows at a time, so
-    # 8x the test rows (3.5 -> 28 MB of CSV on the tall shape) must not
-    # move their peak. Holding the N x K matrices grew eval's by 24 MB.
+    # simulate, eval and calibrate write or rank and reduce one block of
+    # rows at a time, so 8x the rows (3.5 -> 28 MB of CSV on the tall
+    # shape) must not move their peak. Holding the N x K matrices grew
+    # eval's by 24 MB and simulate's by 12 MB.
     tall = ["--classes", "32", "--concentration", "0.05",
             "--tree-mode", "balanced-binary", "--truth-mode", "corrupted",
             "--corrupt-rho", "0.2"]
@@ -342,21 +372,22 @@ def test_streamed_peak_memory_is_flat_in_n(tmp_path, checkout_env):
     peaks = {}
     for n in (5000, 40000):
         p = str(tmp_path / f"p{n}.csv")
-        assert main(["simulate", "--seed", "1", "--samples", str(n), *tall,
-                     "--out-predictions", p, "--out-hierarchy", h]) == 0
-        for op in (["eval", "--hierarchy", h, "--basis", "crm"],
+        for op in (["simulate", "--seed", "1", "--samples", str(n), *tall,
+                    "--out-predictions", p, "--out-hierarchy", h],
+                   ["eval", "--hierarchy", h, "--basis", "crm",
+                    "--predictions", p, "--out", str(tmp_path / "r.json")],
                    ["calibrate", "--val-predictions", v, "--hierarchy", h,
-                    "--source", "crm-selected"]):
+                    "--source", "crm-selected", "--predictions", p,
+                    "--out", str(tmp_path / "r.json")]):
             run = subprocess.run(
                 [sys.executable, "-c", LAUNCH, sys.executable, "-m",
-                 "hier_risk", *op, "--predictions", p,
-                 "--out", str(tmp_path / "r.json")],
+                 "hier_risk", *op],
                 capture_output=True, text=True, env=checkout_env,
             )
             rc, maxrss_kib = map(int, run.stdout.split())
             assert rc == 0, run.stderr
             peaks[op[0], n] = maxrss_kib / 1024
-    for op in ("eval", "calibrate"):
+    for op in ("simulate", "eval", "calibrate"):
         assert peaks[op, 40000] - peaks[op, 5000] < 4, peaks
 
 

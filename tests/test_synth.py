@@ -6,7 +6,11 @@ import pytest
 from hier_risk import (PredictionSet, SynthConfig, batch_apply,
                        build_cost_matrix, conditional_risk, evaluate,
                        gen_predictions, gen_taxonomy, lca_height, node_height,
-                       oracle_lca, oracle_risk, parse_taxonomy)
+                       oracle_lca, oracle_risk, parse_taxonomy,
+                       save_predictions)
+from hier_risk.cli import main
+from hier_risk.dataio import _rows_per_block
+from hier_risk.synth import prediction_blocks
 
 
 def test_config_validation():
@@ -16,6 +20,7 @@ def test_config_validation():
                          ("concentration", 0.0), ("concentration", -2.0),
                          ("concentration", float("inf")),
                          ("concentration", float("nan")),
+                         ("concentration", 1e308),
                          ("corrupt_rho", -0.1), ("corrupt_rho", 1.5),
                          ("truth_mode", "noisy"), ("tree_mode", "star")):
         with pytest.raises(ValueError):
@@ -23,6 +28,11 @@ def test_config_validation():
     with pytest.raises(ValueError, match="^seed must be a non-negative "
                                          "integer, got -5$"):
         SynthConfig(**{**good, "seed": -5})
+    # K gamma draws near the concentration must not overflow a row sum.
+    with pytest.raises(ValueError, match="^concentration 1e\\+306 is too "
+                                         "large"):
+        SynthConfig(seed=0, K=256, N=1, concentration=1e306)
+    SynthConfig(seed=0, K=256, N=1, concentration=3e305)
 
 
 def test_flat_tree_shape():
@@ -147,6 +157,69 @@ def test_self_sampled_truth_tracks_the_rows():
     preds = gen_predictions(cfg, gen_taxonomy(cfg))
     agree = np.mean(np.argmax(preds.probs, axis=1) == preds.truth)
     assert agree > 0.7
+
+
+def _reference(cfg, names):
+    """The documented whole-matrix draw: one (N, K) gamma, normalized,
+    the labels from its rows and the streams after it, then the row
+    rule of the public constructor."""
+    rng = np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence([cfg.seed, 1])))
+    g = rng.gamma(cfg.concentration, 1.0, size=(cfg.N, cfg.K))
+    sums = g.sum(axis=1)
+    dead = sums == 0.0
+    g[dead], sums[dead] = 1.0, cfg.K
+    g /= sums[:, None]
+    if cfg.truth_mode == "argmax":
+        truth = np.argmax(g, axis=1)
+    else:
+        u = rng.random(cfg.N)
+        truth = np.minimum((np.cumsum(g, axis=1) < u[:, None]).sum(axis=1),
+                           cfg.K - 1)
+        if cfg.truth_mode == "corrupted":
+            mask = rng.random(cfg.N) < cfg.corrupt_rho
+            truth = np.where(mask, rng.integers(0, cfg.K, size=cfg.N), truth)
+    return PredictionSet(g, truth, names)
+
+
+@pytest.mark.parametrize("truth_mode", ["self-sampled", "argmax",
+                                        "corrupted"])
+@pytest.mark.parametrize("K, concentration", [(2, 1e-3), (32, 0.05),
+                                              (256, 0.3)])
+def test_blocks_follow_the_whole_matrix_draw(tmp_path, truth_mode, K,
+                                             concentration):
+    # Streamed or whole, the rows and labels are those of one (N, K)
+    # draw, bit for bit, at every block edge; so is simulate's CSV.
+    b = _rows_per_block(K)
+    for N in (0, 1, b - 1, b, b + 1, 2 * b + 3):
+        cfg = SynthConfig(seed=N + K, K=K, N=N, concentration=concentration,
+                          truth_mode=truth_mode, corrupt_rho=0.3)
+        tax = gen_taxonomy(cfg)
+        ref = _reference(cfg, tax.class_names)
+        blocks = list(prediction_blocks(cfg, tax))
+        assert [blk.N for blk in blocks] == [b] * (N // b) + [N % b] * (
+            N % b > 0)
+        whole = gen_predictions(cfg, tax)
+        for probs, truth in ((whole.probs, whole.truth),
+                             (np.concatenate([blk.probs for blk in blocks]
+                                             or [np.empty((0, K))]),
+                              np.concatenate([blk.truth for blk in blocks]
+                                             or [np.empty(0, np.int64)]))):
+            assert probs.shape == (N, K)
+            assert np.array_equal(probs.view(np.uint64),
+                                  ref.probs.view(np.uint64))
+            assert np.array_equal(truth, ref.truth)
+        if K == 2 and N > b:
+            # The uniform fallback for all-zero rows is covered.
+            assert (ref.probs == 0.5).all(axis=1).any()
+        p, h = tmp_path / "p.csv", tmp_path / "h.tsv"
+        assert main(["simulate", "--seed", str(cfg.seed), "--classes",
+                     str(K), "--samples", str(N), "--concentration",
+                     repr(concentration), "--truth-mode", truth_mode,
+                     "--corrupt-rho", "0.3", "--out-predictions", str(p),
+                     "--out-hierarchy", str(h)]) == 0
+        save_predictions(ref, str(tmp_path / "ref.csv"))
+        assert p.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 @pytest.mark.parametrize("truth_mode", ["self-sampled", "corrupted"])
