@@ -21,7 +21,7 @@ from .riskmin import (CostMatrix, Ranking, batch_apply, batch_crm_top1,
 from .synth import SynthConfig, gen_predictions, gen_taxonomy, oracle_lca, \
     oracle_risk
 from .taxonomy import (Taxonomy, TaxonomyError, collapse_to_depth,
-                       lca_height, node_height, parse_taxonomy,
+                       node_height, parse_taxonomy,
                        shuffle_leaves)
 
 __version__ = "0.1.0"
@@ -53,7 +53,6 @@ __all__ = [
     "gen_predictions",
     "gen_taxonomy",
     "hierarchical_ece",
-    "lca_height",
     "likelihood_rank",
     "load_calibration_report",
     "load_hierarchy",

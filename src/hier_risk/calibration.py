@@ -170,11 +170,21 @@ def apply_temperature(probs, T: float) -> np.ndarray:
 
 def _mean_nll(logp: np.ndarray, truth: np.ndarray, T: float) -> float:
     """Mean NLL of the true class at temperature T, from the floored
-    log-probabilities, which every evaluation of the fit shares."""
-    z = logp / T
-    m = z.max(axis=1)
-    lse = m + np.log(np.exp(z - m[:, None]).sum(axis=1))
-    return float(np.mean(lse - z[np.arange(z.shape[0]), truth]))
+    log-probabilities, which every evaluation of the fit shares. Rows
+    are scaled a block of about 2**16 values at a time; each row's term
+    lands in one vector, so the mean is taken once, as over the whole."""
+    N, K = logp.shape
+    step = max(1, 2**16 // K)
+    terms = np.empty(N)
+    for lo in range(0, N, step):
+        z = logp[lo:lo + step] / T
+        m = z.max(axis=1)
+        zt = z[np.arange(z.shape[0]), truth[lo:lo + step]]
+        z -= m[:, None]
+        np.exp(z, out=z)
+        terms[lo:lo + step] = m + np.log(z.sum(axis=1)) - zt
+        del z  # freed before the next block's z is made
+    return float(np.mean(terms))
 
 
 def fit_temperature(val: PredictionSet) -> float:
@@ -197,7 +207,8 @@ def fit_temperature(val: PredictionSet) -> float:
         )
         return 1.0
 
-    L = np.log(np.maximum(P, PROB_FLOOR))
+    L = np.maximum(P, PROB_FLOOR)
+    np.log(L, out=L)
 
     def f(logt: float) -> float:
         return _mean_nll(L, t, math.exp(logt))

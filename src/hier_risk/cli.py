@@ -9,8 +9,10 @@ identical files and flags, whatever the BLAS thread count. --threads is
 accepted and ignored; it stays because perfbench/run.py passes it.
 
 eval, calibrate and shuffle-eval rank and reduce one block of rows at a
-time: eval and shuffle-eval hold one block plus integer tallies,
-calibrate the validation split plus one test block and per-bin totals.
+time and drop each block and its ranking before the next is parsed:
+eval and shuffle-eval hold one block plus integer tallies, calibrate
+the validation split, its floored log-probabilities and one block of
+fit temporaries, then one test block and per-bin totals.
 simulate mirrors the read side: it writes the blocks of
 synth.prediction_blocks as they are drawn, holding one block plus the
 labels drawn ahead, and opens no output file before that draw.
@@ -84,11 +86,11 @@ def _cmd_eval(args) -> str:
             # Theorem 1: on taxonomy costs a class holding more than half
             # the mass is the risk minimizer, so the certified top-1 must
             # be the argmax on every such row.
-            P = block.probs
-            if ((ranked.permutation[:, 0] != P.argmax(axis=1))
-                    & (P.max(axis=1) > 0.5)).any():
+            if ((ranked.permutation[:, 0] != block.probs.argmax(axis=1))
+                    & (block.probs.max(axis=1) > 0.5)).any():
                 raise RuntimeError("Theorem 1 violated: a class with more "
                                    "than half the mass is not the CRM top-1")
+        del block, ranked  # before the next block is parsed
     return metrics_report_to_json(ev.report())
 
 
@@ -114,6 +116,7 @@ def _cmd_calibrate(args) -> str:
         block = _passed(apply_temperature(block.probs, temperature),
                         block.truth, names)
         post.add(block, batch_apply(block, C, basis, depth=1))
+        del block  # before the next block is parsed
     if pre.n == 0:
         raise ValueError("test prediction file has no rows")
     bins_pre, bins_post = pre.bins(), post.bins()
@@ -141,6 +144,7 @@ def _cmd_shuffle_eval(args) -> str:
         for name, ev in evals["crm"].items():
             ev.count(batch_apply(block, costs[name], "crm", depth=m),
                      block.truth)
+        del block, ranked  # before the next block is parsed
     return metrics_report_to_json({
         basis: {name: ev.report() for name, ev in by_tree.items()}
         for basis, by_tree in evals.items()

@@ -7,15 +7,17 @@ followed by K probabilities. Floats are written with Python's shortest
 round-trip repr. Every file is read through one opener, which detects
 gzip by its magic bytes, and written through one, which compresses a
 path ending in ``.gz`` with a zeroed mtime so identical inputs give
-identical bytes, reports included. Prediction files stream through them
-in blocks of rows of about 1 MiB of text: ``read_predictions`` yields
-each block once it is checked, for a caller that reduces it and drops
-it, and ``load_predictions`` appends each to one N x K buffer, holding
-the float64 values once plus one block of lines. The write side mirrors
-that: ``write_predictions`` writes blocks as a producer yields them, and
-``save_predictions`` hands it a whole set's row blocks. The cost-matrix
-CSV is written a block at a time too. Undecodable bytes are reported by
-line and byte.
+identical bytes, reports included. Prediction files are read in blocks
+of rows of about 1 MiB of text: ``read_predictions`` drops a block's
+lines and yields the block once it is checked, for a caller that
+reduces it and drops it, and ``load_predictions`` appends each to one
+N x K buffer, holding the float64 values once plus one block of lines.
+The write side mirrors that: ``write_predictions`` writes blocks as a
+producer yields them, and ``save_predictions`` hands it a whole set's
+row blocks. Every writer encodes and writes one line at a time, so it
+holds one line of text beside the file's 64 KiB buffer; the cost-matrix
+CSV goes out the same way.
+Undecodable bytes are reported by line and byte.
 
 Reports (``MetricsReport``, ``CalibrationReport``) go through one JSON
 emitter and one loader, both driven by the per-report field tables in
@@ -74,7 +76,7 @@ class FormatError(ValueError):
     """Malformed file contents; the message carries line context."""
 
 
-_BLOCK = 1 << 20  # about the bytes of text per block of rows, per write
+_BLOCK = 1 << 20  # about the bytes of text per block of rows
 # A truncated or corrupt deflate stream; a bad gzip header or CRC is a
 # gzip.BadGzipFile, an OSError, already reported as an input problem.
 _DAMAGED = (EOFError, zlib.error)
@@ -103,7 +105,9 @@ def _writer(path):
     if hasattr(path, "write"):
         yield path
         return
-    with open(path, "wb") as f:
+    # The writers hand it a line at a time; 64 KiB per system call
+    # keeps wide rows (K = 2048: 4 KiB a line) as fast as 1 MiB writes.
+    with open(path, "wb", buffering=1 << 16) as f:
         if str(path).endswith(".gz"):
             with gzip.GzipFile(filename="", mode="wb", fileobj=f,
                                mtime=0) as gz:
@@ -126,17 +130,11 @@ def _utf8(data: bytes, line: int = 1, codec: str = "utf-8") -> str:
 
 
 def _write_lines(path, lines) -> None:
-    """Write text lines as UTF-8, about ``_BLOCK`` characters per write,
-    so no more than one block of text is held."""
+    """Write text lines as UTF-8, each encoded and written as it comes,
+    so one line is held; the binary writer buffers the writes."""
     with _writer(path) as f:
-        block, size = [], 0
         for line in lines:
-            block.append(line)
-            size += len(line)
-            if size >= _BLOCK:
-                f.write("".join(block).encode("utf-8"))
-                block, size = [], 0
-        f.write("".join(block).encode("utf-8"))
+            f.write(line.encode("utf-8"))
 
 
 def load_hierarchy(path) -> Taxonomy:
@@ -297,9 +295,10 @@ def _blocks(path, taxonomy):
                 raise FormatError(f"line {line + off[1]}: row {off[0]}")
             if fault or cut:
                 raise fault or cut
-            yield _passed(probs, truth, tax_names)
             line += len(rows)
-            del rows, probs  # before the next block is read
+            del rows  # the block's text goes before the block is used
+            yield _passed(probs, truth, tax_names)
+            del probs, truth  # before the next block is read
 
 
 def load_predictions(path, taxonomy: Taxonomy | None = None) -> PredictionSet:
@@ -314,6 +313,7 @@ def load_predictions(path, taxonomy: Taxonomy | None = None) -> PredictionSet:
     for block in blocks:
         values.extend(block.probs.view(np.uint8))
         truths.extend(block.truth.view(np.uint8))
+        del block  # before the next block is read
     probs = np.frombuffer(values, dtype=np.float64).reshape(-1, len(names))
     return _passed(probs, np.frombuffer(truths, dtype=np.int64), names)
 
@@ -327,15 +327,15 @@ def _check_csv_names(names) -> None:
 def write_predictions(path, names, blocks) -> None:
     """Write a prediction CSV from its class names and an iterable of
     ``PredictionSet`` blocks, the write side of :func:`read_predictions`:
-    the names are checked before the file is opened, and each block's
-    lines are made as it is written, so one block is held at a time."""
+    the names are checked before the file is opened, and each row's line
+    is made as it is written, so one block and one line are held."""
     _check_csv_names(names)
 
     def lines():
         yield f"{PREDICTIONS_MAGIC}\ntruth,{','.join(names)}\n"
         for block in blocks:
-            for t, row in zip(block.truth.tolist(), block.probs.tolist()):
-                yield f"{names[t]},{','.join(map(repr, row))}\n"
+            for t, row in zip(block.truth.tolist(), block.probs):
+                yield f"{names[t]},{','.join(map(repr, row.tolist()))}\n"
 
     _write_lines(path, lines())
 
@@ -513,7 +513,7 @@ def cost_matrix_to_csv(C: CostMatrix) -> str:
 
 
 def save_cost_matrix(C: CostMatrix, path) -> None:
-    """The audit export, written a block of rows at a time to a path or
-    an open binary file."""
+    """The audit export, written a row at a time to a path or an open
+    binary file."""
     _write_lines(path, _cost_csv_lines(C))
 

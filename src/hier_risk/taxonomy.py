@@ -23,7 +23,6 @@ __all__ = [
     "TaxonomyError",
     "parse_taxonomy",
     "node_height",
-    "lca_height",
     "collapse_to_depth",
     "shuffle_leaves",
 ]
@@ -284,20 +283,6 @@ def node_height(tax: Taxonomy, node: int) -> int:
     if not 0 <= node < tax.n_nodes:
         raise ValueError(f"node index {node} out of range")
     return tax._heights[node]
-
-
-def lca_height(tax: Taxonomy, i: int, j: int) -> int:
-    """Height of the lowest common ancestor of classes i and j, walking
-    up from both leaves, deeper one first: no K x K table is built."""
-    i, j = (_as_int(c, "class index must be an integer") for c in (i, j))
-    K = tax.K
-    if not (0 <= i < K and 0 <= j < K):
-        raise ValueError(f"class index out of range: ({i}, {j})")
-    d, up = tax._depths, tax.parent
-    u, v = tax.leaves[i], tax.leaves[j]
-    while u != v:
-        u, v = (up[u], v) if d[u] >= d[v] else (u, up[v])
-    return tax._heights[u]
 
 
 def collapse_to_depth(tax: Taxonomy, depth: int) -> dict[int, int]:

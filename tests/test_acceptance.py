@@ -25,7 +25,7 @@ from hier_risk import (PredictionSet, Ranking, SynthConfig,
                        bin_confidences, build_cost_matrix,
                        conditional_risk, crm_predict, crm_rerank, ece,
                        evaluate, fit_temperature, gen_predictions, gen_taxonomy,
-                       hierarchical_ece, lca_height, likelihood_rank,
+                       hierarchical_ece, likelihood_rank,
                        mce, metric_flaw_check, oracle_lca, oracle_risk,
                        parse_taxonomy, shuffle_leaves)
 
@@ -149,7 +149,6 @@ def test_03_vectorized_risks_and_lca_match_reference_walks():
         L = tax.lca_matrix()
         for i in range(tax.K):
             for j in range(tax.K):
-                assert lca_height(tax, i, j) == oracle_lca(tax, i, j)
                 assert L[i, j] == oracle_lca(tax, i, j)
 
 

@@ -1,6 +1,10 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from hier_risk import calibration
 from hier_risk import (PredictionSet, Ranking, SynthConfig, apply_temperature,
                        batch_apply, bin_confidences, build_cost_matrix,
                        ece, fit_temperature, gen_predictions, gen_taxonomy,
@@ -143,6 +147,50 @@ def test_fit_temperature_golden_value():
                       tree_mode="balanced-binary")
     val = gen_predictions(cfg, gen_taxonomy(cfg))
     assert fit_temperature(val) == 4.608610861120865
+
+
+def whole_matrix_nll(logp, truth, T):
+    # The fit's objective over all rows at once, the reference for the
+    # blockwise walk.
+    z = logp / T
+    m = z.max(axis=1)
+    lse = m + np.log(np.exp(z - m[:, None]).sum(axis=1))
+    return float(np.mean(lse - z[np.arange(z.shape[0]), truth]))
+
+
+@pytest.mark.parametrize("K", [2, 32, 1000])
+def test_blockwise_fit_gives_the_whole_matrix_bits(K):
+    # Row counts at, just below and just above one and two blocks.
+    step = max(1, 2**16 // K)
+    rng = np.random.Generator(np.random.PCG64(K))
+    for N in (1, step - 1, step, step + 1, 2 * step - 1, 2 * step,
+              2 * step + 1):
+        val = make_preds(rng.dirichlet(np.full(K, 0.3), size=N),
+                         rng.integers(0, K, size=N), K)
+        logp = np.log(np.maximum(val.probs, calibration.PROB_FLOOR))
+        for T in (1 / 64, 0.5, 1.0, 4.15, 64.0):
+            assert calibration._mean_nll(logp, val.truth, T) == \
+                whole_matrix_nll(logp, val.truth, T), (N, T)
+        T = fit_temperature(val)
+        with mock.patch.object(calibration, "_mean_nll", whole_matrix_nll):
+            assert fit_temperature(val) == T, N
+
+
+def test_fit_holds_one_copy_of_the_validation_values():
+    # The floored log-probabilities, the per-row terms and one block of
+    # temporaries; a whole-matrix objective holds about 4 x the values.
+    rng = np.random.Generator(np.random.PCG64(5))
+    N, K = 40000, 32
+    val = make_preds(rng.dirichlet(np.full(K, 0.05), size=N),
+                     rng.integers(0, K, size=N), K)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fit_temperature(val)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= val.probs.nbytes + (1 << 20), (peak, val.probs.nbytes)
 
 
 def test_fit_returns_exactly_one_when_one_is_optimal():

@@ -233,7 +233,7 @@ def test_saving_holds_one_block_of_text(tmp_path):
     path = tmp_path / "p.csv"
     _, peak = traced_peak(save_predictions, preds, path)
     assert path.stat().st_size > 8 * MiB
-    assert peak <= 8 * MiB, peak
+    assert peak <= MiB, peak
 
 
 def one_shot_text(preds) -> bytes:

@@ -5,7 +5,7 @@ import pytest
 
 from hier_risk import (PredictionSet, SynthConfig, batch_apply,
                        build_cost_matrix, conditional_risk, evaluate,
-                       gen_predictions, gen_taxonomy, lca_height, node_height,
+                       gen_predictions, gen_taxonomy, node_height,
                        oracle_lca, oracle_risk, parse_taxonomy,
                        save_predictions)
 from hier_risk.cli import main
@@ -224,9 +224,10 @@ def test_blocks_follow_the_whole_matrix_draw(tmp_path, truth_mode, K,
 
 @pytest.mark.parametrize("truth_mode", ["self-sampled", "corrupted"])
 def test_generated_rows_are_not_copied(truth_mode):
-    # The set takes the generated rows without a copy and no (N, K)
-    # cumulative table outlives the labels: the peak is the rows plus
-    # the one cumsum temporary and its comparison mask.
+    # The blocks of prediction_blocks are copied into one (N, K) array
+    # as they come: the peak is the rows plus a block or two and the
+    # labels drawn ahead (1.35 to 1.53 x the rows at this shape), short
+    # of the 2 x that concatenating the blocks would hold.
     cfg = SynthConfig(seed=3, K=256, N=2000, truth_mode=truth_mode,
                       corrupt_rho=0.3, tree_mode="balanced-binary")
     tax = gen_taxonomy(cfg)
@@ -237,7 +238,7 @@ def test_generated_rows_are_not_copied(truth_mode):
     finally:
         tracemalloc.stop()
     nbytes, MiB = preds.probs.nbytes, 1 << 20
-    assert peak <= 2.25 * nbytes + MiB, (peak, nbytes)
+    assert peak <= 1.25 * nbytes + 2 * MiB, (peak, nbytes)
     assert current <= nbytes + MiB, (current, nbytes)
 
 
@@ -280,6 +281,6 @@ def test_oracle_lca_on_known_tree():
     assert oracle_lca(tax, 0, 1) == 1
     assert oracle_lca(tax, 0, 2) == 2
     assert oracle_lca(tax, 3, 3) == 0
-    assert oracle_lca(tax, 0, 1) == lca_height(tax, 0, 1)
+    assert oracle_lca(tax, 0, 1) == tax.lca_matrix()[0, 1]
     with pytest.raises(ValueError):
         oracle_lca(tax, 0, 4)

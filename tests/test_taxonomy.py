@@ -8,7 +8,7 @@ from hier_risk import (PredictionSet, SynthConfig, Taxonomy, TaxonomyError,
                        batch_apply, bin_confidences, build_cost_matrix,
                        collapse_to_depth, evaluate, gen_taxonomy,
                        hierarchical_ece,
-                       lca_height, node_height, oracle_lca, parse_taxonomy,
+                       node_height, oracle_lca, parse_taxonomy,
                        shuffle_leaves)
 
 from hier_risk.calibration import BinTally
@@ -97,22 +97,10 @@ def test_lca_matrix_is_write_protected():
         m[0, 1] = 99
 
 
-def test_lca_height_validates_class_indices():
-    tax = parse_taxonomy(CHAIN)
-    with pytest.raises(ValueError):
-        lca_height(tax, 0, tax.K)
-    with pytest.raises(ValueError):
-        lca_height(tax, -1, 0)
-
-
 def test_lca_matches_independent_walk_on_random_trees():
     trees = [random_tree(seed, 2 + seed % 11) for seed in range(25)]
     trees.append(random_tree(21, 96))  # 198 nodes, height 11: all pairs
     for tax in trees:
-        for i in range(tax.K):
-            for j in range(tax.K):
-                assert lca_height(tax, i, j) == oracle_lca(tax, i, j)
-        assert tax._lca is None  # one pair never builds the K x K table
         L = tax.lca_matrix()
         for i in range(tax.K):
             for j in range(tax.K):
@@ -123,9 +111,10 @@ def test_chain_lca_values():
     tax = parse_taxonomy(CHAIN)
     # classes sorted: a, b, c; a and b join at m1 (height 1), either
     # with c joins at root (height 3).
-    assert lca_height(tax, 0, 1) == 1
-    assert lca_height(tax, 0, 2) == 3
-    assert lca_height(tax, 1, 1) == 0
+    L = tax.lca_matrix()
+    assert L[0, 1] == 1
+    assert L[0, 2] == 3
+    assert L[1, 1] == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -202,7 +191,7 @@ def test_lca_table_equals_the_int64_reference(name):
     assert np.array_equal(m, reference_lca(tax))
     rng = np.random.default_rng(len(name))
     for i, j in rng.integers(0, tax.K, size=(40, 2)).tolist():
-        assert lca_height(tax, i, j) == oracle_lca(tax, i, j) == m[i, j]
+        assert oracle_lca(tax, i, j) == m[i, j]
     # The walk's per-node tables and the facts derived from them.
     assert all(d == len(tax.root_path(v)) - 1
                for v, d in enumerate(tax.depths()))
@@ -347,9 +336,8 @@ def test_taxonomy_constructor_rejects_parents_out_of_range():
     (lambda t, p, v: collapse_to_depth(t, v), "depth", 1.5, 1),
     (lambda t, p, v: hierarchical_ece(p, t, v), "depth", 0.5, 1),
     (lambda t, p, v: node_height(t, v), "node index", 1.5, 1),
-    (lambda t, p, v: lca_height(t, v, 1), "class index", 0.5, 0),
 ], ids=["batch_apply", "bin_confidences", "BinTally", "collapse_to_depth",
-        "hierarchical_ece", "node_height", "lca_height"])
+        "hierarchical_ece", "node_height"])
 def test_integer_arguments_are_not_truncated(call, what, bad, good):
     tax = parse_taxonomy(CHAIN)
     preds = PredictionSet([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25]], [0, 2],
