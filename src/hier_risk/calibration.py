@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .predictions import PredictionSet
+from .predictions import PredictionSet, _rows_per_block
 from .riskmin import LIKELIHOOD, RISK, Ranking, batch_apply
 from .taxonomy import Taxonomy, _as_int, collapse_to_depth
 
@@ -170,11 +170,11 @@ def apply_temperature(probs, T: float) -> np.ndarray:
 
 def _mean_nll(logp: np.ndarray, truth: np.ndarray, T: float) -> float:
     """Mean NLL of the true class at temperature T, from the floored
-    log-probabilities, which every evaluation of the fit shares. Rows
-    are scaled a block of about 2**16 values at a time; each row's term
-    lands in one vector, so the mean is taken once, as over the whole."""
+    log-probabilities, which every evaluation of the fit shares, scaled
+    a block of rows at a time (the one block size, ``_rows_per_block``):
+    each row's term lands in one vector, so the mean is taken once."""
     N, K = logp.shape
-    step = max(1, 2**16 // K)
+    step = _rows_per_block(K)
     terms = np.empty(N)
     for lo in range(0, N, step):
         z = logp[lo:lo + step] / T

@@ -48,7 +48,8 @@ import numpy as np
 
 from .calibration import CONFIDENCE_SOURCES, CalibrationReport
 from .metrics import MetricsReport
-from .predictions import PredictionSet, _passed, validate_rows
+from .predictions import (PredictionSet, _passed, _rows_per_block,
+                          validate_rows)
 from .riskmin import CostMatrix
 from .taxonomy import Taxonomy, parse_taxonomy
 
@@ -76,7 +77,6 @@ class FormatError(ValueError):
     """Malformed file contents; the message carries line context."""
 
 
-_BLOCK = 1 << 20  # about the bytes of text per block of rows
 # A truncated or corrupt deflate stream; a bad gzip header or CRC is a
 # gzip.BadGzipFile, an OSError, already reported as an input problem.
 _DAMAGED = (EOFError, zlib.error)
@@ -143,7 +143,18 @@ def load_hierarchy(path) -> Taxonomy:
 
 
 def save_hierarchy(tax: Taxonomy, path) -> None:
-    """Edge list ``child<TAB>parent`` in node-index order, root omitted."""
+    """Edge list ``child<TAB>parent`` in node-index order, root omitted.
+    Before the file opens, a FormatError names any node the reader would
+    not give back: not UTF-8 text, empty, holding a TAB or LF, a parent
+    ending in CR, or a child starting with ``#`` or a BOM."""
+    inner = set(tax.parent)
+    for i, n in enumerate(tax.names):
+        if (not isinstance(n, str) or not n or "\t" in n or "\n" in n
+                or n.encode("utf-8", "replace").decode("utf-8") != n
+                or i in inner and n.endswith("\r")
+                or tax.parent[i] >= 0 and n.startswith(("#", "\ufeff"))):
+            raise FormatError(f"node name {n!r} cannot be written to a "
+                              "hierarchy file")
     _write_lines(path, (f"{tax.names[i]}\t{tax.names[p]}\n"
                         for i, p in enumerate(tax.parent) if p >= 0))
 
@@ -169,14 +180,6 @@ def _lines(f):
             yield line.removesuffix("\n").removesuffix("\r")
     except _DAMAGED as e:
         raise FormatError(f"line {n + 1}: damaged gzip data ({e})") from None
-
-
-def _rows_per_block(K: int) -> int:
-    """About ``_BLOCK`` bytes of text (a value's repr is about 20 chars),
-    but at least one row per 16 KiB of it (64 rows): each risk ranking
-    of a block reads the whole K x K cost table, which more rows
-    amortize, and at large K that table outweighs 64 rows of text."""
-    return max(1, _BLOCK // (20 * K), _BLOCK >> 14)
 
 
 def _parse_rows(lines, first: int, K: int, label_to_idx):
@@ -221,8 +224,8 @@ def read_predictions(path, taxonomy: Taxonomy | None = None):
     """Open a prediction CSV for streaming: ``(class_names, blocks)``.
 
     The format and header lines are checked before this returns; the
-    data rows follow as validated ``PredictionSet`` blocks of about
-    ``_BLOCK`` bytes of text, in file order. With a taxonomy the
+    data rows follow as validated ``PredictionSet`` blocks of
+    ``_rows_per_block(K)`` rows, in file order. With a taxonomy the
     header's class names must equal its leaf set, and columns are
     re-mapped by name onto taxonomy order; without one, the file's own
     order stands and truth labels must appear in the header.

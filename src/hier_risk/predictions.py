@@ -11,6 +11,17 @@ from .taxonomy import _as_ints
 
 __all__ = ["PredictionSet", "validate_rows"]
 
+_BLOCK = 1 << 20  # about the bytes of text per block of rows
+
+
+def _rows_per_block(K: int) -> int:
+    """Rows per block of every row loop, the one block size: about
+    ``_BLOCK`` bytes of text (a value's repr is about 20 chars), but at
+    least one row per 16 KiB of it (64 rows): each risk ranking of a
+    block reads the whole K x K cost table, which more rows amortize,
+    and at large K that table outweighs 64 rows of text."""
+    return max(1, _BLOCK // (20 * K), _BLOCK >> 14)
+
 
 def validate_rows(probs: np.ndarray, sums: bool = True):
     """Apply the row rule to the 2-d float64 ``probs``, renormalizing in

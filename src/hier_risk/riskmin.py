@@ -17,7 +17,8 @@ every other row is sorted again from its exact kernel risks. A batch
 permutation therefore equals the stable argsort of the kernel risks,
 ties to the lowest index, whatever the BLAS, its thread count or the
 batch split. Batch scores are the kernel risks on every row with a near
-tie and within delta of them elsewhere.
+tie and within delta of them elsewhere. Batches are ranked in blocks
+of ``_rows_per_block(K)`` rows, the package's one block size.
 
 A batch may be ranked to a depth m: its permutation is then the first
 m columns of the full certified permutation, bit for bit, and only the
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .predictions import PredictionSet, validate_rows
+from .predictions import PredictionSet, _rows_per_block, validate_rows
 from .taxonomy import Taxonomy, _as_int
 
 __all__ = [
@@ -168,8 +169,7 @@ def _exact_risks(P: np.ndarray, C: np.ndarray) -> np.ndarray:
     return out
 
 
-_U = 2.0 ** -53          # unit roundoff of float64
-_CHUNK = 1 << 16         # elements per block of rows or cost columns
+_U = 2.0 ** -53  # unit roundoff of float64
 
 
 def _radius(P: np.ndarray, H: float) -> np.ndarray:
@@ -190,48 +190,34 @@ def _radius(P: np.ndarray, H: float) -> np.ndarray:
         + n * 2.0 ** -1074
 
 
-def _certified_rank(P: np.ndarray, C: CostMatrix, approx=None,
-                    depth: int | None = None):
-    """Permutation to ``depth`` (default K) and scores of the exact
-    ranking of every row of P under the cost matrix C.
+def _estimate(P: np.ndarray, C: CostMatrix, R: np.ndarray) -> None:
+    """Write the BLAS product P @ C, the first estimate of the risks of
+    the block of rows P, into that block's rows R of the scores."""
+    # Cost columns are cast a block at a time, so no K x K float table
+    # exists, and each product goes through a small temporary because
+    # matmul into a strided ``out`` does not reach BLAS. C is symmetric,
+    # so the columns are cast from its contiguous rows, about 3x faster
+    # than from a strided column slice.
+    width = _rows_per_block(C.K)
+    for b in range(0, C.K, width):
+        R[:, b:b + width] = P @ C.entries[b:b + width].astype(np.float64).T
 
-    ``approx`` replaces the BLAS product as the first estimate of the
-    risks; any array within ``_radius`` of the kernel risks gives the
-    same permutation. Work arrays stay O(_CHUNK) beyond the outputs.
-    """
-    N, K = P.shape
-    m = K if depth is None else depth
-    step = max(1, _CHUNK // K)           # rows per block
-    width = max(64, _CHUNK // K)         # cost columns per cast block
-    if approx is not None:
-        scores = np.array(approx, dtype=np.float64, order="C", copy=True)
-    else:
-        # Cost columns are cast a block at a time, so no K x K float
-        # table exists, and each product goes through a small temporary
-        # because matmul into a strided ``out`` does not reach BLAS. C is
-        # symmetric, so the columns are cast from its contiguous rows,
-        # about 3x faster than from a strided column slice.
-        scores = np.empty((N, K), dtype=np.float64)
-        for b in range(0, K, width):
-            Cb = C.entries[b:b + width].astype(np.float64).T
-            for lo in range(0, N, step):
-                scores[lo:lo + step, b:b + width] = P[lo:lo + step] @ Cb
-    perm = np.empty((N, m), dtype=np.int64)
+
+def _certify(P: np.ndarray, C: CostMatrix, R: np.ndarray,
+             m: int) -> np.ndarray:
+    """Exact ranks to depth m of each row of P from estimates R within
+    ``_radius`` of its kernel risks. A row whose first m + 1 sorted
+    estimates are all more than 2 * delta apart is in kernel order to
+    depth m, since every later estimate is at or above the (m + 1)-th;
+    any other row of R gets its exact risks in place, sorted anew."""
+    order = np.argsort(R, axis=1, kind="stable")
+    gaps = np.diff(np.take_along_axis(R, order[:, :m + 1], axis=1), axis=1)
     tol = 2.0 * _radius(P, C.bound)
-    for lo in range(0, N, step):
-        R = scores[lo:lo + step]
-        order = np.argsort(R, axis=1, kind="stable")
-        gaps = np.diff(np.take_along_axis(R, order[:, :m + 1], axis=1), axis=1)
-        redo = np.flatnonzero((gaps <= tol[lo:lo + step, None]).any(axis=1))
-        if redo.size:
-            # A row whose first m + 1 sorted estimates are all more than
-            # 2 * delta apart is in kernel order to depth m, since every
-            # later estimate is at or above the (m + 1)-th; every other
-            # row is sorted from its exact risks.
-            R[redo] = _exact_risks(P[lo:lo + step][redo], C.entries)
-            order[redo] = np.argsort(R[redo], axis=1, kind="stable")
-        perm[lo:lo + step] = order[:, :m]
-    return perm, scores
+    redo = np.flatnonzero((gaps <= tol[:, None]).any(axis=1))
+    if redo.size:
+        R[redo] = _exact_risks(P[redo], C.entries)
+        order[redo] = np.argsort(R[redo], axis=1, kind="stable")
+    return order[:, :m]
 
 
 def conditional_risk(p, C: CostMatrix) -> np.ndarray:
@@ -269,15 +255,6 @@ def _check_basis(basis: str) -> None:
         raise ValueError(f"unknown ranking basis {basis!r}")
 
 
-def _check_costs(preds: PredictionSet, C: CostMatrix) -> None:
-    if C.class_names is not None and preds.class_names != C.class_names:
-        raise ValueError(
-            "class order mismatch between predictions and cost matrix"
-        )
-    if preds.K != C.K:
-        raise ValueError("prediction width does not match cost matrix")
-
-
 def batch_apply(preds: PredictionSet, C: CostMatrix | None,
                 basis: str, depth: int | None = None) -> Ranking:
     """Rank every sample by descending likelihood (``basis`` "likelihood")
@@ -290,28 +267,34 @@ def batch_apply(preds: PredictionSet, C: CostMatrix | None,
     scores come from the certified BLAS ranking (see the module
     docstring): a row with a near tie among its first depth + 1
     estimates, exact ties included, holds its exact kernel risks, and
-    every other row is within delta of them. The metrics computed from
-    the result are exact integer sums with one final division, so they
-    do not depend on the order of the rows.
+    every other row is within delta of them. Both bases walk the rows
+    in one loop, ``_rows_per_block(K)`` at a time, so no (N, K) work
+    array exists beside the scores. The metrics computed from the
+    result are exact integer sums with one final division, so they do
+    not depend on the order of the rows.
     """
     _check_basis(basis)
-    if C is not None:
-        _check_costs(preds, C)
+    if C is None and basis == RISK:
+        raise ValueError("risk basis requires a cost matrix")
+    if C is not None and C.class_names not in (None, preds.class_names):
+        raise ValueError("class order mismatch between predictions and "
+                         "cost matrix")
+    if C is not None and preds.K != C.K:
+        raise ValueError("prediction width does not match cost matrix")
     m = preds.K if depth is None else min(
         _as_int(depth, "ranking depth must be an integer"), preds.K)
     if m < 1:
         raise ValueError(f"ranking depth must be >= 1, got {depth}")
-    if basis == RISK:
-        if C is None:
-            raise ValueError("risk basis requires a cost matrix")
-        order, scores = _certified_rank(preds.probs, C, depth=m)
-    else:
-        # A block of rows at a time, so no (N, K) negated copy exists.
-        scores = preds.probs
-        order = np.empty((preds.N, m), dtype=np.int64)
-        step = max(1, _CHUNK // preds.K)
-        for lo in range(0, preds.N, step):
-            order[lo:lo + step] = np.argsort(-scores[lo:lo + step], axis=1,
+    P, step = preds.probs, _rows_per_block(preds.K)
+    scores = np.empty(P.shape) if basis == RISK else P
+    order = np.empty((preds.N, m), dtype=np.int64)
+    for lo in range(0, preds.N, step):
+        block, R = P[lo:lo + step], scores[lo:lo + step]
+        if basis == RISK:
+            _estimate(block, C, R)
+            order[lo:lo + step] = _certify(block, C, R, m)
+        else:
+            order[lo:lo + step] = np.argsort(-block, axis=1,
                                              kind="stable")[:, :m]
     return Ranking(order, scores, basis)
 

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import _rows_per_block
-from .predictions import PredictionSet, _passed
+from .predictions import PredictionSet, _passed, _rows_per_block
 from .riskmin import CostMatrix
 from .taxonomy import Taxonomy, _check_seed, parse_taxonomy
 
@@ -177,6 +176,7 @@ def gen_predictions(cfg: SynthConfig, tax: Taxonomy) -> PredictionSet:
         probs[lo:lo + block.N] = block.probs
         truth[lo:lo + block.N] = block.truth
         lo += block.N
+        del block  # before the generator draws the next one
     return _passed(probs, truth, tax.class_names)
 
 
@@ -224,6 +224,7 @@ def prediction_blocks(cfg: SynthConfig, tax: Taxonomy):
                 if cfg.truth_mode == "corrupted":
                     truth = np.where(mask[lo:hi], replacement[lo:hi], truth)
             yield PredictionSet(g, truth, tax.class_names, _adopt=True)
+            del g, truth  # before the next block is drawn
 
     return blocks(np.random.Generator(np.random.PCG64(seed)))
 

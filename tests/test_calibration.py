@@ -11,6 +11,7 @@ from hier_risk import (PredictionSet, Ranking, SynthConfig, apply_temperature,
                        hierarchical_ece, likelihood_rank, mce,
                        parse_taxonomy)
 from hier_risk.calibration import CONFIDENCE_SOURCES
+from hier_risk.predictions import _rows_per_block
 from hier_risk.taxonomy import TaxonomyError
 
 TWO_BRANCH = parse_taxonomy(
@@ -161,7 +162,7 @@ def whole_matrix_nll(logp, truth, T):
 @pytest.mark.parametrize("K", [2, 32, 1000])
 def test_blockwise_fit_gives_the_whole_matrix_bits(K):
     # Row counts at, just below and just above one and two blocks.
-    step = max(1, 2**16 // K)
+    step = _rows_per_block(K)
     rng = np.random.Generator(np.random.PCG64(K))
     for N in (1, step - 1, step, step + 1, 2 * step - 1, 2 * step,
               2 * step + 1):

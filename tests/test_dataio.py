@@ -2,15 +2,18 @@ import gzip
 import json
 import math
 import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hier_risk import (CalibrationReport, CostMatrix, FormatError,
-                       MetricsReport, PredictionSet, SynthConfig,
-                       build_cost_matrix, full_report, gen_predictions,
-                       gen_taxonomy, load_calibration_report,
+                       MetricsReport, PredictionSet, SynthConfig, Taxonomy,
+                       TaxonomyError, build_cost_matrix, full_report,
+                       gen_predictions, gen_taxonomy, load_calibration_report,
                        load_hierarchy, load_metrics_report,
                        load_predictions, parse_taxonomy, save_cost_matrix,
                        save_hierarchy, save_predictions)
@@ -43,6 +46,47 @@ def test_hierarchy_round_trip(tmp_path):
     assert [back.names[i] for i in back.leaves] == \
         [tax.names[i] for i in tax.leaves]
     assert np.array_equal(back.lca_matrix(), tax.lca_matrix())
+
+
+def test_hierarchy_names_the_reader_would_change_are_refused(tmp_path):
+    # "#a<TAB>r" reads back as a comment, so class '#a' would vanish.
+    path = tmp_path / "h.tsv"
+    with pytest.raises(FormatError, match="'#a'"):
+        save_hierarchy(Taxonomy(["#a", "b", "c", "r"], [3, 3, 3, -1]), path)
+    assert not path.exists()
+    # A root is only ever a parent, so '#' does not start its line.
+    save_hierarchy(Taxonomy(["a", "b", "#r"], [2, 2, -1]), path)
+    assert edge_map(load_hierarchy(path)) == {"a": "#r", "b": "#r"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_every_hierarchy_written_reads_back_as_written(data):
+    # Random trees over names built from the characters the reader
+    # treats specially: each is refused before a file exists, or reads
+    # back with the same classes and child -> parent name pairs.
+    n = data.draw(st.integers(3, 7))
+    names = data.draw(st.lists(st.text("ab#\t\n\r\ufeff", max_size=3),
+                               min_size=n, max_size=n, unique=True))
+    place = data.draw(st.permutations(range(n)))
+    parent = [-1] * n
+    for i in range(n - 1):  # each node hangs below a later one
+        parent[place[i]] = place[data.draw(st.integers(i + 1, n - 1))]
+    try:
+        tax = Taxonomy(names, parent)
+    except TaxonomyError:  # fewer than two leaves
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "h.tsv"
+        try:
+            save_hierarchy(tax, path)
+        except FormatError as e:
+            assert not path.exists()
+            assert any(f"node name {name!r} " in str(e) for name in names)
+            return
+        back = load_hierarchy(path)
+    assert back.class_names == tax.class_names
+    assert edge_map(back) == edge_map(tax)
 
 
 def test_hierarchy_gzip_round_trip_is_byte_stable(tmp_path):

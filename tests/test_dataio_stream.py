@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from hier_risk import (FormatError, PredictionSet, SynthConfig,
                        gen_predictions, gen_taxonomy, load_predictions,
                        parse_taxonomy, save_predictions)
-from hier_risk import dataio
+from hier_risk import dataio, predictions
 from hier_risk.dataio import PREDICTIONS_MAGIC
 
 TWO_BRANCH = parse_taxonomy("a\tp1\nb\tp1\nc\tp2\nd\tp2\np1\troot\np2\troot\n")
@@ -88,7 +88,8 @@ def whole_file_load(path, taxonomy=None) -> PredictionSet:
 def outcome(load, path, taxonomy, block=None):
     """(probs bytes, truth, class names) or the FormatError text of one
     load, with the read block size patched to ``block`` bytes."""
-    patch = mock.patch.object(dataio, "_BLOCK", block or dataio._BLOCK)
+    patch = mock.patch.object(predictions, "_BLOCK",
+                              block or predictions._BLOCK)
     try:
         with patch:
             preds = load(path, taxonomy)

@@ -3,6 +3,7 @@ import hashlib
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from hier_risk import (CostMatrix, PredictionSet, Ranking,
                        build_cost_matrix, conditional_risk, crm_predict,
                        crm_rerank, gen_predictions, gen_taxonomy,
                        likelihood_rank, parse_taxonomy)
-from hier_risk import riskmin
-from hier_risk.riskmin import (LIKELIHOOD, RISK, _certified_rank,
+from hier_risk import predictions, riskmin
+from hier_risk.riskmin import (LIKELIHOOD, RISK, _certify,
                                _check_prob_vector, _exact_risks, _radius)
 
 TWO_BRANCH = parse_taxonomy(
@@ -425,18 +426,54 @@ def test_certificate_alone_gives_exact_order():
     assert (np.abs(approx - risks) <= delta).all()
     assert not np.array_equal(np.argsort(approx, axis=1, kind="stable"),
                               perms)
-    perm, scores = _certified_rank(preds.probs, C, approx)
+    scores = approx.copy()
+    perm = _certify(preds.probs, C, scores, 64)
     assert np.array_equal(perm, perms)
     assert (np.diff(np.take_along_axis(scores, perm, axis=1), axis=1)
             >= 0).all()
     # The same holds at every depth: the certificate checks only the
     # first m + 1 estimates, yet must give the full order's prefix.
     for m in range(1, 65):
-        perm, scores = _certified_rank(preds.probs, C, approx,
-                                       depth=m)
+        scores = approx.copy()
+        perm = _certify(preds.probs, C, scores, m)
         assert np.array_equal(perm, perms[:, :m]), m
         assert (np.diff(np.take_along_axis(scores, perm, axis=1), axis=1)
                 >= 0).all()
+
+
+@pytest.mark.parametrize("basis", [LIKELIHOOD, RISK])
+def test_a_batch_of_many_blocks_ranks_each_row_alone(basis):
+    # A CLI block is one step of the ranking loop; a library call on a
+    # whole set takes several. At 3 rows (and 3 cost columns) a block,
+    # 10 rows end mid-block, and each row must still rank as it would
+    # alone, to every depth.
+    K = 16
+    C = build_cost_matrix(gen_taxonomy(
+        SynthConfig(seed=5, K=K, N=0, tree_mode="balanced-binary")))
+    raw = adversarial_rows(np.random.Generator(np.random.PCG64(5)), K,
+                           ROW_KINDS + ("grid2", "grid4"))
+    preds = PredictionSet(raw, np.zeros(10, dtype=np.int64), C.class_names)
+    if basis == RISK:
+        perms, risks = stacked_rerank(raw, C)
+    else:
+        perms = np.array([likelihood_rank(row).permutation for row in raw])
+    delta = _radius(preds.probs, C.bound)[:, None]
+    with mock.patch.object(predictions, "_BLOCK", 3 * 20 * K):
+        assert predictions._rows_per_block(K) == 3
+        for m in (1, 3, K):
+            batch = batch_apply(preds, C, basis, depth=m)
+            assert np.array_equal(batch.permutation, perms[:, :m]), m
+            if basis == LIKELIHOOD:
+                assert np.array_equal(batch.scores, preds.probs)
+                continue
+            # The score contract, over the first m + 1 ranks checked.
+            gaps = np.diff(np.take_along_axis(batch.scores, perms[:, :m + 1],
+                                              axis=1), axis=1)
+            assert (gaps >= 0).all()
+            exact = (batch.scores == risks).all(axis=1)
+            assert (exact | (gaps > 2 * delta).all(axis=1)).all()
+            assert (np.abs(batch.scores - risks) <= delta).all()
+            assert exact.any() and not exact.all(), m  # both paths taken
 
 
 def planted_rows(rng, K, n):

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from hier_risk import (FormatError, SynthConfig, gen_predictions,
                        gen_taxonomy, save_hierarchy, save_predictions)
-from hier_risk import cli, dataio
+from hier_risk import cli, dataio, predictions
 from hier_risk.cli import main
 from hier_risk.dataio import PREDICTIONS_MAGIC, read_predictions
 
@@ -23,10 +23,11 @@ from hier_risk.dataio import PREDICTIONS_MAGIC, read_predictions
 def run(argv, rows=None, K=1):
     """(exit code, report bytes, last stderr line) of one CLI call, read
     ``rows`` data rows per block (None: the default block size)."""
-    block = rows * 20 * K if rows else dataio._BLOCK
+    block = rows * 20 * K if rows else predictions._BLOCK
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), \
-            mock.patch.object(dataio, "_BLOCK", block), redirect_stderr(err):
+            mock.patch.object(predictions, "_BLOCK", block), \
+            redirect_stderr(err):
         warnings.simplefilter("ignore")
         out = Path(tmp) / "r.json"
         rc = main([*argv, "--out", str(out)])
@@ -196,7 +197,7 @@ def read_counting_lines(p, block_rows):
             pulled.append(line)
             yield line
 
-    with mock.patch.object(dataio, "_BLOCK", block_rows * 20 * 4), \
+    with mock.patch.object(predictions, "_BLOCK", block_rows * 20 * 4), \
             mock.patch.object(dataio, "_lines", counted):
         with pytest.raises(FormatError) as e:
             dataio.load_predictions(p)
@@ -231,7 +232,7 @@ def test_the_reader_stops_at_the_faulty_block(tmp_path):
 def test_no_block_is_yielded_after_a_fault(tmp_path, rows, message):
     _, p = faulty(tmp_path, rows)
     seen = []
-    with mock.patch.object(dataio, "_BLOCK", 20 * 4):  # one row per block
+    with mock.patch.object(predictions, "_BLOCK", 20 * 4):  # one row a block
         names, blocks = read_predictions(p)
         with pytest.raises(FormatError, match=message):
             for block in blocks:

@@ -9,7 +9,7 @@ from hier_risk import (PredictionSet, SynthConfig, batch_apply,
                        oracle_lca, oracle_risk, parse_taxonomy,
                        save_predictions)
 from hier_risk.cli import main
-from hier_risk.dataio import _rows_per_block
+from hier_risk.predictions import _rows_per_block
 from hier_risk.synth import prediction_blocks
 
 
@@ -225,9 +225,10 @@ def test_blocks_follow_the_whole_matrix_draw(tmp_path, truth_mode, K,
 @pytest.mark.parametrize("truth_mode", ["self-sampled", "corrupted"])
 def test_generated_rows_are_not_copied(truth_mode):
     # The blocks of prediction_blocks are copied into one (N, K) array
-    # as they come: the peak is the rows plus a block or two and the
-    # labels drawn ahead (1.35 to 1.53 x the rows at this shape), short
-    # of the 2 x that concatenating the blocks would hold.
+    # as they come, each dropped before the next is drawn: the peak is
+    # the rows plus a block or two and the labels drawn ahead (about
+    # 1.25 x the rows at this shape), short of the 2 x that
+    # concatenating the blocks would hold.
     cfg = SynthConfig(seed=3, K=256, N=2000, truth_mode=truth_mode,
                       corrupt_rho=0.3, tree_mode="balanced-binary")
     tax = gen_taxonomy(cfg)
