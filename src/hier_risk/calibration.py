@@ -10,12 +10,17 @@ applied before the log, identically in the fitting and application
 paths. The fit minimizes mean negative log-likelihood of the true class
 with a golden-section search on log T over [log(1/64), log 64] to a
 bracket width of 1e-4 in log-space; bracket and tolerance are part of
-the contract.
+the contract. One search loop serves both callers: ``fit_temperature``
+runs it over a floored-log copy of a set's rows in memory, and the CLI
+over a validation split spilled a block at a time, floored and logged
+in place, to an anonymous temporary file (``_LogSpill``) that each
+evaluation reads back a block at a time; both give the same bits.
 """
 
 from __future__ import annotations
 
 import math
+import tempfile
 import warnings
 from dataclasses import dataclass
 
@@ -149,6 +154,12 @@ def mce(bins: CalibrationBins) -> float:
     return float(np.max(np.abs(bins.accuracy - bins.mean_conf)[nz]))
 
 
+def _floored_log(z: np.ndarray) -> np.ndarray:
+    """log(max(z, PROB_FLOOR)), in place."""
+    np.maximum(z, PROB_FLOOR, out=z)
+    return np.log(z, out=z)
+
+
 def apply_temperature(probs, T: float) -> np.ndarray:
     """Resharpen rows as softmax(log p / T); T = 1 is the identity up to
     rounding, large T flattens toward uniform."""
@@ -158,9 +169,8 @@ def apply_temperature(probs, T: float) -> np.ndarray:
     arr = np.asarray(probs, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError("probs must be a 2-d row-stochastic matrix")
-    # In place on one temporary: the same ufuncs give the same bits.
-    z = np.maximum(arr, PROB_FLOOR)
-    np.log(z, out=z)
+    # In place on one copy: the same ufuncs give the same bits.
+    z = _floored_log(arr.copy(order="K"))
     z /= T
     z -= z.max(axis=1, keepdims=True)
     np.exp(z, out=z)
@@ -168,11 +178,13 @@ def apply_temperature(probs, T: float) -> np.ndarray:
     return z
 
 
-def _mean_nll(logp: np.ndarray, truth: np.ndarray, T: float) -> float:
+def _mean_nll(logp, truth: np.ndarray, T: float) -> float:
     """Mean NLL of the true class at temperature T, from the floored
-    log-probabilities, which every evaluation of the fit shares, scaled
-    a block of rows at a time (the one block size, ``_rows_per_block``):
-    each row's term lands in one vector, so the mean is taken once."""
+    log-probabilities, which every evaluation of the fit shares: an
+    (N, K) array, or a :class:`_LogSpill` of them. They are scaled a
+    block of rows at a time (the one block size, ``_rows_per_block``),
+    and each row's term lands in one vector, so the mean is taken
+    once."""
     N, K = logp.shape
     step = _rows_per_block(K)
     terms = np.empty(N)
@@ -187,6 +199,45 @@ def _mean_nll(logp: np.ndarray, truth: np.ndarray, T: float) -> float:
     return float(np.mean(terms))
 
 
+class _LogSpill:
+    """A validation split's floored log-probabilities, spilled to an
+    anonymous temporary file (N x K x 8 bytes of disk in ``TMPDIR``) a
+    block at a time, and read back by row slice (``spill[lo:hi]``), so
+    a fit over it holds one block of them. Beside the file it keeps the
+    truth labels (8 bytes a row) and whether every row is one-hot. The
+    file goes when the spill is closed, or with the process."""
+
+    def __init__(self, K: int):
+        self.file = tempfile.TemporaryFile()
+        self.shape, self.one_hot, self._truth = (0, K), True, bytearray()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+
+    def add(self, block: PredictionSet) -> None:
+        """Take a block's rows, flooring and logging them in place."""
+        self.one_hot &= bool(np.all(block.probs.max(axis=1) == 1.0))
+        self.file.write(_floored_log(block.probs))
+        self._truth.extend(block.truth.view(np.uint8))
+        self.shape = (self.shape[0] + block.N, self.shape[1])
+
+    @property
+    def truth(self) -> np.ndarray:
+        return np.frombuffer(self._truth, dtype=np.int64)
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        N, K = self.shape
+        lo, hi, _ = rows.indices(N)
+        out = np.empty((hi - lo, K))
+        self.file.seek(lo * K * out.itemsize)
+        if self.file.readinto(out) != out.nbytes:
+            raise OSError("temperature fit: the spilled rows read back short")
+        return out
+
+
 def fit_temperature(val: PredictionSet) -> float:
     """Temperature minimizing mean NLL of the true class on ``val``.
 
@@ -197,21 +248,26 @@ def fit_temperature(val: PredictionSet) -> float:
     validation set has no finite optimum; it is flagged with a warning
     and T = 1 is returned.
     """
-    if val.N == 0:
+    P = val.probs
+    return _fit(_floored_log(P.copy()), val.truth,
+                bool(np.all(P.max(axis=1) == 1.0)))
+
+
+def _fit(logp, truth: np.ndarray, one_hot: bool) -> float:
+    """The search of :func:`fit_temperature` over floored
+    log-probabilities ``logp`` as :func:`_mean_nll` takes them, whose
+    rows are all one-hot or not as ``one_hot`` says."""
+    if len(truth) == 0:
         raise ValueError("cannot fit a temperature on an empty set")
-    P, t = val.probs, val.truth
-    if bool(np.all(P.max(axis=1) == 1.0)):
+    if one_hot:
         warnings.warn(
             "all validation rows are one-hot; temperature fit is degenerate, "
-            "returning T=1", RuntimeWarning, stacklevel=2,
+            "returning T=1", RuntimeWarning, stacklevel=3,
         )
         return 1.0
 
-    L = np.maximum(P, PROB_FLOOR)
-    np.log(L, out=L)
-
     def f(logt: float) -> float:
-        return _mean_nll(L, t, math.exp(logt))
+        return _mean_nll(logp, truth, math.exp(logt))
 
     lo, hi = -LOG_T_BRACKET, LOG_T_BRACKET
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -228,7 +284,7 @@ def fit_temperature(val: PredictionSet) -> float:
             d = lo + invphi * (hi - lo)
             fd = f(d)
     T = math.exp(0.5 * (lo + hi))
-    if _mean_nll(L, t, 1.0) <= _mean_nll(L, t, T):
+    if _mean_nll(logp, truth, 1.0) <= _mean_nll(logp, truth, T):
         return 1.0
     return float(T)
 

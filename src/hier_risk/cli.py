@@ -10,9 +10,12 @@ accepted and ignored; it stays because perfbench/run.py passes it.
 
 eval, calibrate and shuffle-eval rank and reduce one block of rows at a
 time and drop each block and its ranking before the next is parsed:
-eval and shuffle-eval hold one block plus integer tallies, calibrate
-the validation split, its floored log-probabilities and one block of
-fit temporaries, then one test block and per-bin totals.
+eval and shuffle-eval hold one block plus integer tallies. calibrate
+floors and logs each validation block in place and writes it to an
+anonymous temporary file, N x K x 8 bytes of disk in TMPDIR (a failed
+write, as on a full disk, exits 2), keeping 8 bytes of truth label a
+row; the fit reads the file back a block at a time, and the test split
+goes by with one block and per-bin totals.
 simulate mirrors the read side: it writes the blocks of
 synth.prediction_blocks as they are drawn, holding one block plus the
 labels drawn ahead, and opens no output file before that draw.
@@ -29,12 +32,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-# bin_confidences, cost_matrix_to_csv, full_report, gen_predictions,
-# PredictionSet and save_predictions are unused here; they stay bound
-# because perfbench/trace_op.py rebinds them.
+# bin_confidences, cost_matrix_to_csv, fit_temperature, full_report,
+# gen_predictions, load_predictions, PredictionSet and save_predictions
+# are unused here; they stay bound because perfbench/trace_op.py
+# rebinds them.
 from .calibration import (BinTally, CalibrationReport, CONFIDENCE_SOURCES,
-                          apply_temperature, bin_confidences, ece,
-                          fit_temperature, mce)
+                          _LogSpill, _fit, apply_temperature,
+                          bin_confidences, ece, fit_temperature, mce)
 from .dataio import (_write_lines, calibration_report_to_json,
                      cost_matrix_to_csv, load_hierarchy, load_predictions,
                      metrics_report_to_json, read_predictions,
@@ -98,13 +102,16 @@ def _cmd_calibrate(args) -> str:
     if args.source == "crm-selected" and args.hierarchy is None:
         raise ValueError("--hierarchy is required when --source crm-selected")
     tax = load_hierarchy(args.hierarchy) if args.hierarchy else None
-    val = load_predictions(args.val_predictions, tax)
-    names, blocks = read_predictions(args.predictions, tax)
-    if tax is None and val.class_names != names:
-        raise ValueError("validation and test files disagree on class "
-                         "order; pass --hierarchy to align them by name")
-    temperature = fit_temperature(val)
-    del val
+    val_names, val_blocks = read_predictions(args.val_predictions, tax)
+    with _LogSpill(len(val_names)) as spill:
+        for block in val_blocks:
+            spill.add(block)
+            del block  # before the next block is parsed
+        names, blocks = read_predictions(args.predictions, tax)
+        if tax is None and val_names != names:
+            raise ValueError("validation and test files disagree on class "
+                             "order; pass --hierarchy to align them by name")
+        temperature = _fit(spill, spill.truth, spill.one_hot)
     basis = CONFIDENCE_SOURCES[args.source]
     C = build_cost_matrix(tax) if basis == "crm" else None
     # Each test block is binned at rank 0 before and after scaling, which

@@ -8,10 +8,12 @@ round-trip repr. Every file is read through one opener, which detects
 gzip by its magic bytes, and written through one, which compresses a
 path ending in ``.gz`` with a zeroed mtime so identical inputs give
 identical bytes, reports included. Prediction files are read in blocks
-of rows of about 1 MiB of text: ``read_predictions`` drops a block's
-lines and yields the block once it is checked, for a caller that
-reduces it and drops it, and ``load_predictions`` appends each to one
-N x K buffer, holding the float64 values once plus one block of lines.
+of rows of about 1 MiB of text, each line's values written into its
+block's array as the line is read, so a reader holds one line of text
+beside one block of values: ``read_predictions`` yields each block once
+it is checked, for a caller that reduces it and drops it, and
+``load_predictions`` appends each to one N x K buffer, holding the
+float64 values once plus one block and one line.
 The write side mirrors that: ``write_predictions`` writes blocks as a
 producer yields them, and ``save_predictions`` hands it a whole set's
 row blocks. Every writer encodes and writes one line at a time, so it
@@ -42,7 +44,7 @@ import json
 import math
 import zlib
 from contextlib import contextmanager
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -129,6 +131,11 @@ def _utf8(data: bytes, line: int = 1, codec: str = "utf-8") -> str:
                           f"{at - data.rfind(lf, 0, at)})") from None
 
 
+def _is_utf8(text: str) -> bool:
+    """Whether ``text`` encodes as UTF-8: a lone surrogate does not."""
+    return text.encode("utf-8", "replace").decode("utf-8") == text
+
+
 def _write_lines(path, lines) -> None:
     """Write text lines as UTF-8, each encoded and written as it comes,
     so one line is held; the binary writer buffers the writes."""
@@ -150,7 +157,7 @@ def save_hierarchy(tax: Taxonomy, path) -> None:
     inner = set(tax.parent)
     for i, n in enumerate(tax.names):
         if (not isinstance(n, str) or not n or "\t" in n or "\n" in n
-                or n.encode("utf-8", "replace").decode("utf-8") != n
+                or not _is_utf8(n)
                 or i in inner and n.endswith("\r")
                 or tax.parent[i] >= 0 and n.startswith(("#", "\ufeff"))):
             raise FormatError(f"node name {n!r} cannot be written to a "
@@ -183,41 +190,51 @@ def _lines(f):
 
 
 def _parse_rows(lines, first: int, K: int, label_to_idx):
-    """Values and truth indices of the data lines before the first
-    faulty one, the first of them line ``first`` of the file, and that
-    line's fault, or None. Per line: the field count, the truth label,
-    then each token left to right (it parses, is finite, is >= 0)."""
-    probs = np.empty((len(lines), K), dtype=np.float64)
-    truth = np.empty(len(lines), dtype=np.int64)
-    n, parsed, fault = len(lines), 0, None
-    for r, line in enumerate(lines):
-        parts = line.split(",")
-        if len(parts) != K + 1:
-            n, fault = r, f"expected {K + 1} fields, got {len(parts)}"
-            break
-        idx = label_to_idx.get(parts[0])
-        if idx is None:
-            n, fault = r, f"unknown truth label {parts[0]!r}"
-            break
-        truth[r] = idx
-        try:
-            probs[r] = [float(tok) for tok in parts[1:]]
-        except ValueError:
-            for parsed, tok in enumerate(parts[1:]):
-                try:
-                    probs[r, parsed] = float(tok)
-                except ValueError:
-                    n, fault = r, f"invalid number {tok!r}"
-                    break
-            break
+    """Values and truth indices of up to one block of data lines pulled
+    from ``lines``, the first of them line ``first`` of the file, up to
+    the first faulty one, and that line's fault, or None. Per line: the
+    field count, the truth label, then each token left to right (it
+    parses, is finite, is >= 0). Each line's values go into the block's
+    array as the line is read, so one line of text is held, and no line
+    past a parse fault is read. An entry fault quotes the value as
+    parsed, as only the values are kept."""
+    step = _rows_per_block(K)
+    probs = np.empty((step, K), dtype=np.float64)
+    truth = np.empty(step, dtype=np.int64)
+    n, parsed, fault = 0, 0, None
+    try:
+        for line in islice(lines, step):
+            parts = line.split(",")
+            if len(parts) != K + 1:
+                fault = f"expected {K + 1} fields, got {len(parts)}"
+                break
+            idx = label_to_idx.get(parts[0])
+            if idx is None:
+                fault = f"unknown truth label {parts[0]!r}"
+                break
+            truth[n] = idx
+            try:
+                probs[n] = [float(tok) for tok in parts[1:]]
+            except ValueError:
+                for parsed, tok in enumerate(parts[1:]):
+                    try:
+                        probs[n, parsed] = float(tok)
+                    except ValueError:
+                        fault = f"invalid number {tok!r}"
+                        break
+                break
+            n += 1
+    except FormatError as e:
+        fault = e  # undecodable: the lines before it are checked first
     # Values read before a parse fault come first in file order.
     bad = validate_rows(probs.reshape(1, -1)[:, :n * K + parsed], sums=False)
     if bad:
-        n, c = divmod(bad[2], K)
+        n = bad[2] // K
         what = bad[0].replace("non-finite probability", "non-finite value")
-        fault = f"{what} {lines[n].split(',')[c + 1]!r}"
-    return probs[:n], truth[:n], fault and FormatError(
-        f"line {first + n}: {fault}")
+        fault = f"{what} {repr(float(probs.flat[bad[2]]))!r}"
+    if isinstance(fault, str):
+        fault = FormatError(f"line {first + n}: {fault}")
+    return probs[:n], truth[:n], fault
 
 
 def read_predictions(path, taxonomy: Taxonomy | None = None):
@@ -234,8 +251,12 @@ def read_predictions(path, taxonomy: Taxonomy | None = None):
     renormalized once. The first faulty line in file order is reported,
     from the block that holds it: per data line the field count, the
     truth label, each token left to right (it must parse, be finite and
-    be >= 0), then the row sum. An undecodable byte or damaged gzip data
-    is a fault at its line. Nothing is yielded after a fault.
+    be >= 0), then the row sum. An unparsable token is quoted as
+    written, a non-finite or negative entry as parsed (``repr(float)``:
+    ``-1`` reads ``'-1.0'``, ``1e999`` reads ``'inf'``), since a line's
+    text is dropped once its values are in the block. An undecodable
+    byte or damaged gzip data is a fault at its line. No line past a
+    parse fault is read, and nothing is yielded after a fault.
     """
     blocks = _blocks(path, taxonomy)
     return next(blocks), blocks
@@ -280,28 +301,25 @@ def _blocks(path, taxonomy):
         same = names == tax_names
         yield tax_names
 
-        step, line = _rows_per_block(K), 3
-        while True:
-            rows, cut = [], None
-            try:
-                rows.extend(islice(lines, step))
-            except FormatError as e:
-                cut = e  # undecodable: the lines before it are checked first
-            if not rows and cut is None:
-                return
-            probs, truth, fault = _parse_rows(rows, line, K, label_to_idx)
+        line = 3
+        for head in lines:  # a block of data lines starts here
+            probs, truth, fault = _parse_rows(chain([head], lines), line, K,
+                                              label_to_idx)
             probs = probs if same else probs.take(to_tax, axis=1)
             off = validate_rows(probs)
             if off:
                 # Name the first row whose sum is off, summed in file order.
                 off = validate_rows(probs[:, np.argsort(to_tax)]) or off
                 raise FormatError(f"line {line + off[1]}: row {off[0]}")
-            if fault or cut:
-                raise fault or cut
-            line += len(rows)
-            del rows  # the block's text goes before the block is used
-            yield _passed(probs, truth, tax_names)
-            del probs, truth  # before the next block is read
+            if fault:
+                raise fault
+            line += len(probs)
+            # Handed over, not kept: while the caller holds the block,
+            # this frame holds no reference to it, so a caller that
+            # drops it early frees it.
+            block = [_passed(probs, truth, tax_names)]
+            del probs, truth
+            yield block.pop()
 
 
 def load_predictions(path, taxonomy: Taxonomy | None = None) -> PredictionSet:
@@ -309,7 +327,7 @@ def load_predictions(path, taxonomy: Taxonomy | None = None) -> PredictionSet:
 
     The blocks of :func:`read_predictions`, with its checks and faults,
     are appended to one buffer that the set adopts, so loading holds the
-    float64 values once plus one block of lines.
+    float64 values once plus one block and one line of text.
     """
     names, blocks = read_predictions(path, taxonomy)
     values, truths = bytearray(), bytearray()  # float64s, int64s
@@ -322,8 +340,10 @@ def load_predictions(path, taxonomy: Taxonomy | None = None) -> PredictionSet:
 
 
 def _check_csv_names(names) -> None:
+    """Before a file opens, refuse a class name holding a comma, quote,
+    CR or LF, or one that is not UTF-8 text (a lone surrogate)."""
     for n in names:
-        if any(ch in n for ch in ',"\n\r'):
+        if any(ch in n for ch in ',"\n\r') or not _is_utf8(n):
             raise FormatError(f"class name {n!r} cannot be written to CSV")
 
 

@@ -51,9 +51,7 @@ class PredictionSet:
     :func:`validate_rows`, which renormalizes it; otherwise ValueError
     names the first bad entry in row-major order, else the first row
     whose sum is off. K >= 1 (collapsed label spaces can be a single
-    class even though taxonomies need two). With ``_adopt``, for this
-    package's loaders that build ``probs`` for the set alone, it is
-    taken without a copy and renormalized in place.
+    class even though taxonomies need two).
 
     Attributes:
         probs: (N, K) float64, validated and renormalized as above.
@@ -65,9 +63,8 @@ class PredictionSet:
 
     __slots__ = ("probs", "truth", "class_names", "N", "K")
 
-    def __init__(self, probs, truth, class_names, *, _adopt=False):
-        probs = np.array(probs, dtype=np.float64, order="C",
-                         copy=None if _adopt else True)
+    def __init__(self, probs, truth, class_names):
+        probs = np.array(probs, dtype=np.float64, order="C", copy=True)
         if probs.ndim != 2:
             raise ValueError("probs must be a 2-d array")
         truth = _as_ints(truth, "truth labels must be integers").copy()

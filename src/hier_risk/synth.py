@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .predictions import PredictionSet, _passed, _rows_per_block
+from .predictions import (PredictionSet, _passed, _rows_per_block,
+                          validate_rows)
 from .riskmin import CostMatrix
 from .taxonomy import Taxonomy, _check_seed, parse_taxonomy
 
@@ -223,7 +224,10 @@ def prediction_blocks(cfg: SynthConfig, tax: Taxonomy):
                     (np.cumsum(g, axis=1) < u[lo:hi, None]).sum(axis=1), K - 1)
                 if cfg.truth_mode == "corrupted":
                     truth = np.where(mask[lo:hi], replacement[lo:hi], truth)
-            yield PredictionSet(g, truth, tax.class_names, _adopt=True)
+            fault = validate_rows(g)  # in place, as the loaders apply it
+            if fault:
+                raise ValueError(f"row {lo + fault[1]}: {fault[0]}")
+            yield _passed(g, truth, tax.class_names)
             del g, truth  # before the next block is drawn
 
     return blocks(np.random.Generator(np.random.PCG64(seed)))

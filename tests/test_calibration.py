@@ -11,7 +11,7 @@ from hier_risk import (PredictionSet, Ranking, SynthConfig, apply_temperature,
                        hierarchical_ece, likelihood_rank, mce,
                        parse_taxonomy)
 from hier_risk.calibration import CONFIDENCE_SOURCES
-from hier_risk.predictions import _rows_per_block
+from hier_risk.predictions import _passed, _rows_per_block
 from hier_risk.taxonomy import TaxonomyError
 
 TWO_BRANCH = parse_taxonomy(
@@ -175,6 +175,31 @@ def test_blockwise_fit_gives_the_whole_matrix_bits(K):
         T = fit_temperature(val)
         with mock.patch.object(calibration, "_mean_nll", whole_matrix_nll):
             assert fit_temperature(val) == T, N
+
+
+@pytest.mark.parametrize("K", [2, 32, 1000])
+def test_spilled_fit_gives_the_in_memory_bits(K):
+    # calibrate spills the split's floored logs a block at a time and the
+    # fit reads them back by block: every NLL and the temperature keep
+    # the bits of fit_temperature on the whole set.
+    step = _rows_per_block(K)
+    rng = np.random.Generator(np.random.PCG64(K + 1))
+    for N in (1, step, 2 * step + 1):
+        val = make_preds(rng.dirichlet(np.full(K, 0.3), size=N),
+                         rng.integers(0, K, size=N), K)
+        logp = np.log(np.maximum(val.probs, calibration.PROB_FLOOR))
+        with calibration._LogSpill(K) as spill:
+            for lo in range(0, N, step):
+                spill.add(_passed(val.probs[lo:lo + step].copy(),
+                                  val.truth[lo:lo + step], val.class_names))
+            assert spill.shape == (N, K) and not spill.one_hot
+            assert np.array_equal(spill.truth, val.truth)
+            for T in (1 / 64, 1.0, 4.15):
+                assert calibration._mean_nll(spill, spill.truth, T) == \
+                    calibration._mean_nll(logp, val.truth, T), (N, T)
+            T = calibration._fit(spill, spill.truth, spill.one_hot)
+        assert spill.file.closed
+        assert T == fit_temperature(val), N
 
 
 def test_fit_holds_one_copy_of_the_validation_values():

@@ -1,12 +1,16 @@
 import argparse
+import errno
 import gzip
 import importlib
 import importlib.util
+import io
 import json
+import os
 import pkgutil
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +19,8 @@ import pytest
 import hier_risk
 from hier_risk import dataio
 from hier_risk import (FormatError, PredictionSet, apply_temperature,
-                       bin_confidences, build_cost_matrix, ece, full_report,
+                       bin_confidences, build_cost_matrix, ece,
+                       fit_temperature, full_report,
                        load_hierarchy, load_metrics_report, load_predictions,
                        mce, parse_taxonomy, save_hierarchy,
                        save_predictions)
@@ -110,6 +115,9 @@ def test_calibrate_outputs_report(corpus, capsys):
     doc2 = json.loads(capsys.readouterr().out)
     assert doc2["confidence_source"] == "crm-selected"
     assert doc2["temperature"] == doc["temperature"]
+    # The spilled fit keeps the bits of the in-memory one.
+    val = load_predictions(corpus["val"])
+    assert doc["temperature"] == fit_temperature(val)
     # The scaled rows are binned as apply_temperature returns them: a
     # softmax row whose sum is not exactly 1.0 is not divided again.
     test = load_predictions(corpus["preds"])
@@ -122,6 +130,22 @@ def test_calibrate_outputs_report(corpus, capsys):
                                                    depth=1), 15)
         assert (report["ece_post"], report["mce_post"]) == (ece(bins),
                                                              mce(bins))
+
+
+def test_calibrate_warns_on_a_one_hot_split(corpus, tmp_path, capsys):
+    # No finite temperature fits one-hot rows: calibrate warns and
+    # reports T = 1, as fit_temperature does.
+    names = load_predictions(corpus["preds"]).class_names
+    rows = [f"{n}," + ",".join("1" if m == n else "0" for m in names)
+            for n in names]
+    val = tmp_path / "onehot.csv"
+    val.write_text("\n".join([PREDICTIONS_MAGIC, "truth," + ",".join(names),
+                              *rows]) + "\n")
+    with pytest.warns(RuntimeWarning, match="one-hot"):
+        code = main(["calibrate", "--val-predictions", str(val),
+                     "--predictions", corpus["preds"]])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["temperature"] == 1.0
 
 
 def test_calibrate_requires_hierarchy_for_crm_source(corpus, capsys):
@@ -143,6 +167,47 @@ def test_calibrate_rejects_empty_test_split(corpus, tmp_path, capsys):
         assert code == 2
         assert capsys.readouterr() == (
             "", "error: test prediction file has no rows\n")
+
+
+def test_calibrate_leaves_no_temporary_file(corpus, tmp_path, capsys,
+                                           monkeypatch):
+    # The validation split's floored logs go to one anonymous temporary
+    # file, closed on success and on a row fault in either split.
+    made, make = [], tempfile.TemporaryFile
+
+    def recorded(*args, **kwargs):
+        made.append(make(*args, **kwargs))
+        return made[-1]
+
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+    monkeypatch.setattr(tempfile, "TemporaryFile", recorded)
+    names = load_predictions(corpus["preds"]).class_names
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"{PREDICTIONS_MAGIC}\ntruth,{','.join(names)}\n"
+                   f"{names[0]},oops\n")
+    for val, test, err in ((corpus["val"], corpus["preds"], ""),
+                           (bad, corpus["preds"], "error: line 3"),
+                           (corpus["val"], bad, "error: line 3")):
+        made.clear()
+        code = main(["calibrate", "--val-predictions", str(val),
+                     "--predictions", str(test)])
+        assert code == (2 if err else 0)
+        assert capsys.readouterr().err.startswith(err)
+        assert len(made) == 1 and made[0].closed
+        assert not any(tmp.iterdir())
+
+    # A failed write, as on a full disk, exits 2 with its message.
+    class Full(io.BytesIO):
+        def write(self, data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", Full)
+    assert main(["calibrate", "--val-predictions", corpus["val"],
+                 "--predictions", corpus["preds"]]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: [Errno 28] {os.strerror(errno.ENOSPC)}\n")
 
 
 def test_shuffle_eval_nested_report(corpus, capsys):
@@ -362,7 +427,10 @@ def test_streamed_peak_memory_is_flat_in_n(tmp_path, checkout_env):
     # simulate, eval and calibrate write or rank and reduce one block of
     # rows at a time, so 8x the rows (3.5 -> 28 MB of CSV on the tall
     # shape) must not move their peak. Holding the N x K matrices grew
-    # eval's by 24 MB and simulate's by 12 MB.
+    # eval's by 24 MB and simulate's by 12 MB. calibrate's validation
+    # split is spilled as floored logs and read back a block at a time,
+    # so 8x its rows must not move the peak either; holding the split
+    # and its logs grew it by 18 MB.
     tall = ["--classes", "32", "--concentration", "0.05",
             "--tree-mode", "balanced-binary", "--truth-mode", "corrupted",
             "--corrupt-rho", "0.2"]
@@ -372,13 +440,20 @@ def test_streamed_peak_memory_is_flat_in_n(tmp_path, checkout_env):
     peaks = {}
     for n in (5000, 40000):
         p = str(tmp_path / f"p{n}.csv")
-        for op in (["simulate", "--seed", "1", "--samples", str(n), *tall,
-                    "--out-predictions", p, "--out-hierarchy", h],
-                   ["eval", "--hierarchy", h, "--basis", "crm",
-                    "--predictions", p, "--out", str(tmp_path / "r.json")],
-                   ["calibrate", "--val-predictions", v, "--hierarchy", h,
-                    "--source", "crm-selected", "--predictions", p,
-                    "--out", str(tmp_path / "r.json")]):
+        calibrate = ["calibrate", "--hierarchy", h, "--source",
+                     "crm-selected", "--out", str(tmp_path / "r.json")]
+        ops = {
+            "simulate": ["simulate", "--seed", "1", "--samples", str(n),
+                         *tall, "--out-predictions", p, "--out-hierarchy",
+                         h],
+            "eval": ["eval", "--hierarchy", h, "--basis", "crm",
+                     "--predictions", p, "--out", str(tmp_path / "r.json")],
+            "calibrate": [*calibrate, "--val-predictions", v,
+                          "--predictions", p],
+            "calibrate-val": [*calibrate, "--val-predictions", p,
+                              "--predictions", v],
+        }
+        for name, op in ops.items():
             run = subprocess.run(
                 [sys.executable, "-c", LAUNCH, sys.executable, "-m",
                  "hier_risk", *op],
@@ -386,9 +461,9 @@ def test_streamed_peak_memory_is_flat_in_n(tmp_path, checkout_env):
             )
             rc, maxrss_kib = map(int, run.stdout.split())
             assert rc == 0, run.stderr
-            peaks[op[0], n] = maxrss_kib / 1024
-    for op in ("simulate", "eval", "calibrate"):
-        assert peaks[op, 40000] - peaks[op, 5000] < 4, peaks
+            peaks[name, n] = maxrss_kib / 1024
+    for name in ops:
+        assert peaks[name, 40000] - peaks[name, 5000] < 4, peaks
 
 
 def test_out_file_equals_stdout(corpus, tmp_path, capsys):

@@ -197,7 +197,7 @@ def test_prediction_format_errors_carry_line_numbers(tmp_path):
         (PREDICTIONS_MAGIC + "\ntruth,a,b\na,oops,inf\n",
          r"^line 3: invalid number 'oops'$"),
         (PREDICTIONS_MAGIC + "\ntruth,a,b\na,-1,2\nb,0.5\n",
-         r"^line 3: negative probability '-1'$"),
+         r"^line 3: negative probability '-1\.0'$"),
         (PREDICTIONS_MAGIC + "\ntruth,a,b\na,0.9,0.2\nb,0.5,oops\n",
          r"^line 3: row probabilities sum to 1\.1, "
          r"outside the 1e-6 tolerance$"),
@@ -241,11 +241,17 @@ def test_taxonomy_name_mismatch_is_detailed(tmp_path):
 
 
 def test_save_predictions_rejects_unwritable_names(tmp_path):
-    for bad in ("a,b", '"a'):
+    # Refused before the file opens: a lone surrogate, which UTF-8
+    # cannot encode, used to leave an empty file behind.
+    path = tmp_path / "x.csv"
+    for bad in ("a,b", '"a', "\udc80"):
         preds = PredictionSet(np.array([[0.5, 0.5]]), np.array([0]),
                               [bad, "c"])
-        with pytest.raises(FormatError, match="cannot be written"):
-            save_predictions(preds, tmp_path / "x.csv")
+        with pytest.raises(FormatError, match="cannot be written to CSV"):
+            save_predictions(preds, path)
+        with pytest.raises(FormatError, match="cannot be written to CSV"):
+            save_cost_matrix(CostMatrix([[0, 1], [1, 0]], [bad, "c"]), path)
+        assert not path.exists()
 
 
 def sample_metrics_report():

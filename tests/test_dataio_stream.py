@@ -26,7 +26,8 @@ MiB = 1 << 20
 
 def whole_file_load(path, taxonomy=None) -> PredictionSet:
     """The format read the plain way: the whole text at once, each line
-    checked in file order, its row sum right after its tokens."""
+    checked in file order, its row sum right after its tokens. An entry
+    fault quotes the value as parsed, an unparsable token as written."""
     raw = Path(path).read_bytes()
     if raw[:2] == b"\x1f\x8b":
         raw = gzip.decompress(raw)
@@ -70,9 +71,9 @@ def whole_file_load(path, taxonomy=None) -> PredictionSet:
             except ValueError:
                 raise fault(n, f"invalid number {tok!r}") from None
             if not math.isfinite(v):
-                raise fault(n, f"non-finite value {tok!r}")
+                raise fault(n, f"non-finite value {repr(v)!r}")
             if v < 0:
-                raise fault(n, f"negative probability {tok!r}")
+                raise fault(n, f"negative probability {repr(v)!r}")
             row.append(v)
         total = float(np.sum(row))
         if abs(total - 1.0) > 1e-6:
@@ -98,9 +99,11 @@ def outcome(load, path, taxonomy, block=None):
     return preds.probs.tobytes(), preds.truth.tolist(), preds.class_names
 
 
-# Tokens: exact quarters, values that need renormalizing, and faults.
+# Tokens: exact quarters, values that need renormalizing, and faults,
+# some spelled otherwise than their value's repr.
 TOKENS = ["0", "0.25", "0.5", "0.75", "1", "0.2500000001", "-0.0",
-          "-0.5", "inf", "nan", "oops", "", "0.2\r5"]
+          "-0.5", "-1", "inf", "nan", "NaN", "Infinity", "1e999", "oops",
+          "", "0.2\r5"]
 
 
 @st.composite
@@ -206,7 +209,7 @@ def traced_peak(fn, *args):
 def test_loading_keeps_only_the_float_arrays_resident(tmp_path):
     # The whole-text reader peaked near 7.5 x probs.nbytes on this shape:
     # raw bytes, text and line list at once. A block at a time leaves the
-    # one buffer of values the set adopts plus one block of lines.
+    # one buffer of values the set adopts plus one block and one line.
     tax, preds = synth_set(K=32, N=8000)
     path = tmp_path / "tall.csv"
     save_predictions(preds, path)
@@ -214,6 +217,33 @@ def test_loading_keeps_only_the_float_arrays_resident(tmp_path):
     loaded, peak = traced_peak(load_predictions, path, tax)
     assert np.array_equal(loaded.probs, whole_file_load(path, tax).probs)
     assert peak <= 2 * loaded.probs.nbytes + 4 * MiB, peak
+
+
+def test_reading_holds_one_line_of_text(tmp_path):
+    # At K=2048 a block is 64 rows: 1 MiB of values and about 2.7 MiB of
+    # text. Measured peaks: 1.8 MiB when each line's values go into the
+    # block as the line is read (the values, one line's text, tokens and
+    # floats, and the row checks' temporaries), 4.5 MiB with the block's
+    # lines held beside its values.
+    K = 2048
+    tax, preds = synth_set(K=K, N=300, tree_mode="flat")
+    path = tmp_path / "wide.csv"
+    save_predictions(preds, path)
+    rows = predictions._rows_per_block(K)
+    text = path.stat().st_size / preds.N * rows
+    assert text > 2.5 * MiB
+
+    def read(path, taxonomy):
+        n = 0
+        for block in dataio.read_predictions(path, taxonomy)[1]:
+            n += block.N
+            del block  # before the next block is read
+        return n
+
+    for taxonomy in (None, tax):
+        n, peak = traced_peak(read, path, taxonomy)
+        assert n == preds.N
+        assert peak <= rows * K * 8 + 1.5 * MiB, (peak, text)
 
 
 def test_loading_holds_the_values_once(tmp_path):

@@ -216,15 +216,16 @@ def test_the_reader_stops_at_the_faulty_block(tmp_path):
                   tail=b"\xff\n")
     assert read_counting_lines(p, 2) == (
         "line 4: negative probability '-0.5'", 4)
-    # ... and in the sum's block.
+    # ... and in the sum's block, where no line past the unparsable
+    # token is read.
     _, p = faulty(tmp_path, {0: "a,0.25,oops,0.25,0.25", 1: SUM_OFF},
                   n=1000, tail=b"\xff\n")
-    assert read_counting_lines(p, 2) == ("line 3: invalid number 'oops'", 4)
+    assert read_counting_lines(p, 2) == ("line 3: invalid number 'oops'", 3)
 
 
 @pytest.mark.parametrize("rows, message", [
     ({2: SUM_OFF}, "line 5: row probabilities sum to"),
-    ({2: "a,0.5,-1,0.25,0.25"}, "line 5: negative probability '-1'"),
+    ({2: "a,0.5,-1,0.25,0.25"}, "line 5: negative probability '-1.0'"),
     ({6: "q,0.25,0.25,0.25,0.25"}, "line 9: unknown truth label"),
     ({2: SUM_OFF, 6: "q,0.25,0.25,0.25,0.25"},
      "line 5: row probabilities sum to 0.95"),
