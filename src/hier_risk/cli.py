@@ -5,8 +5,10 @@ Exit codes: 0 success, 1 internal failure, 2 input or validation error
 (argparse usage errors and running out of memory included). The
 requested artifact goes to stdout or to --out, gzipped if that ends in
 .gz; diagnostics go to stderr. Every subcommand is deterministic given
-identical files and flags, whatever the BLAS thread count. --threads is
-accepted and ignored; it stays because perfbench/run.py passes it.
+identical files and flags; no ranking calls BLAS, so no thread count
+can change a result. --threads is accepted and ignored; it stays
+because perfbench/run.py passes it. Row loops take blocks of about
+256 KiB of text (``predictions._rows_per_block``), at least one row.
 
 eval, calibrate and shuffle-eval rank and reduce one block of rows at a
 time and drop each block and its ranking before the next is parsed:

@@ -214,7 +214,7 @@ def _parse_rows(lines, first: int, K: int, label_to_idx):
                 break
             truth[n] = idx
             try:
-                probs[n] = [float(tok) for tok in parts[1:]]
+                probs[n] = parts[1:]  # each str through Python's float
             except ValueError:
                 for parsed, tok in enumerate(parts[1:]):
                     try:

@@ -11,16 +11,15 @@ from .taxonomy import _as_ints
 
 __all__ = ["PredictionSet", "validate_rows"]
 
-_BLOCK = 1 << 20  # about the bytes of text per block of rows
+_BLOCK = 1 << 18  # about the bytes of text per block of rows
 
 
 def _rows_per_block(K: int) -> int:
     """Rows per block of every row loop, the one block size: about
-    ``_BLOCK`` bytes of text (a value's repr is about 20 chars), but at
-    least one row per 16 KiB of it (64 rows): each risk ranking of a
-    block reads the whole K x K cost table, which more rows amortize,
-    and at large K that table outweighs 64 rows of text."""
-    return max(1, _BLOCK // (20 * K), _BLOCK >> 14)
+    ``_BLOCK`` bytes of text (a value's repr is about 20 chars), and at
+    least one row. No step of a row loop reads a K x K table per block,
+    so fewer rows cost no more work per row."""
+    return max(1, _BLOCK // (20 * K))
 
 
 def validate_rows(probs: np.ndarray, sums: bool = True):

@@ -9,16 +9,18 @@ Determinism contract: the reference risk of a (sample, class) pair is
 what the one exact kernel, ``_exact_risks``, computes: one product
 C[k, j] * p[j] per j, added in ascending j as a multiply followed by an
 add. Single-sample calls (``conditional_risk``, ``crm_predict``,
-``crm_rerank``) return those risks. Batches rank from a BLAS product
-``P @ C`` and certify it: per row, every risk of the product lies within
-a radius delta of the kernel risk, so a row whose sorted approximate
-risks are all more than 2 * delta apart is already in kernel order, and
-every other row is sorted again from its exact kernel risks. A batch
-permutation therefore equals the stable argsort of the kernel risks,
-ties to the lowest index, whatever the BLAS, its thread count or the
-batch split. Batch scores are the kernel risks on every row with a near
-tie and within delta of them elsewhere. Batches are ranked in blocks
-of ``_rows_per_block(K)`` rows, the package's one block size.
+``crm_rerank``) return those risks. On taxonomy costs, batches rank
+from a tree-sum estimate (``_tree_risks``, O(nodes) per row) and
+certify it: per row, every estimate lies within a radius delta of the
+kernel risk, so a row whose sorted estimates are all more than
+2 * delta apart is already in kernel order, and every other row is
+sorted again from its exact kernel risks. A batch permutation therefore
+equals the stable argsort of the kernel risks, ties to the lowest
+index, whatever the batch split; no ranking calls BLAS. Batch scores
+are the kernel risks on every row with a near tie and within delta of
+them elsewhere. A raw ``CostMatrix`` ranks from the kernel risks, which
+are then its scores. Batches are ranked in blocks of
+``_rows_per_block(K)`` rows, the package's one block size.
 
 A batch may be ranked to a depth m: its permutation is then the first
 m columns of the full certified permutation, bit for bit, and only the
@@ -58,14 +60,16 @@ class CostMatrix:
 
     Matrices built from a taxonomy carry the taxonomy's compact
     unsigned table of LCA heights and the class names in taxonomy
-    order. Raw arrays are accepted as a side door for testing; they are
-    copied and validated only for squareness, symmetry, and the zero
-    diagonal. ``entries`` is one read-only C-contiguous table, the same
-    one the risk kernel reads. ``bound`` is max |entry|, as a float: the
-    H of every ranking's radius, found once per matrix.
+    order, and rank from a sum over its tree. Raw arrays are accepted
+    as a side door for testing; they are copied and validated only for
+    squareness, symmetry, and the zero diagonal, and rank from the
+    exact kernel. ``entries`` is one read-only C-contiguous table, the
+    same one the risk kernel reads. ``bound`` is max |entry|, as a
+    float, found once per matrix: on a taxonomy, the height of the LCA
+    of all classes, the H of the ranking's radius.
     """
 
-    __slots__ = ("K", "entries", "class_names", "bound")
+    __slots__ = ("K", "entries", "class_names", "bound", "_tree")
 
     def __init__(self, entries, class_names=None):
         e = np.array(entries, order="C", copy=True)
@@ -80,7 +84,7 @@ class CostMatrix:
         if (np.diag(e) != 0).any():
             raise ValueError("cost matrix diagonal must be zero")
         e.flags.writeable = False
-        self.entries = e
+        self.entries, self._tree = e, None
         self.bound = max(float(e.max()), -float(e.min()))
         self.K = e.shape[0]
         if class_names is not None:
@@ -138,6 +142,7 @@ def build_cost_matrix(tax: Taxonomy) -> CostMatrix:
     """
     C = CostMatrix.__new__(CostMatrix)
     C.entries, C.K, C.class_names = tax.lca_matrix(), tax.K, tax.class_names
+    C._tree = tax
     # Any row holds the max: the LCA height of all classes, not h(root).
     C.bound = float(C.entries[0].max())
     return C
@@ -172,35 +177,63 @@ def _exact_risks(P: np.ndarray, C: np.ndarray) -> np.ndarray:
 _U = 2.0 ** -53  # unit roundoff of float64
 
 
-def _radius(P: np.ndarray, H: float) -> np.ndarray:
-    """Per-row delta with |(P @ C)[i, k] - kernel risk| <= delta[i].
+def _tree_risks(P: np.ndarray, tax: Taxonomy, R: np.ndarray) -> None:
+    """Write estimates of the risks of the block of rows P, summed over
+    the tree ``tax``, into that block's rows R of the scores.
 
-    A dot product of n terms lies within gamma_n * sum |p_j C[j, k]| of
-    the exact value in any summation order, with or without FMA
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    Sec. 3.1); that covers both the BLAS product and the kernel. Here
-    sum |p_j C[j, k]| <= H * S with H = max |C| (``CostMatrix.bound``)
-    and S the row sum, which the computed S understates by at most
-    (K - 1) * u relative. Evaluated at n = K + 8 terms, the radius keeps
-    its own roundings inside the margin; the last term covers underflow.
+    With H the height of the LCA of all classes, the risk of class k is
+    H * S - sum of w_v * M(v) over the nodes v on k's path below that
+    LCA, leaf included, where S is the row's mass, M(v) the mass under
+    v and w_v the height step h(parent) - h(v). Leaves are taken in
+    depth-first order, so an inner node's M(v) is a difference of two
+    prefix sums, and the sum over the inner nodes on the path of the
+    leaf at position t is a prefix sum over range additions: +w_v * M(v)
+    at v's first leaf, -w_v * M(v) just past its last. The leaf's own
+    term is its weight times its probability. The work is O(nodes) per
+    row in a fixed number of numpy calls, whatever the tree height, on
+    (positions x rows) arrays whose gathers copy whole rows.
     """
-    n = P.shape[1] + 8
+    (H, leaf_w, lo, hi, w, lo_at, lo_starts, by_hi, hi_at,
+     hi_starts) = tax._sum_shape()
+    cs = np.zeros((tax.K + 1, P.shape[0]))
+    cs[tax._pos + 1] = P.T
+    np.cumsum(cs, axis=0, out=cs)
+    x = cs[hi]
+    x -= cs[lo]
+    x *= w
+    a = np.zeros_like(cs)
+    a[lo_at] = np.add.reduceat(x, lo_starts, axis=0)
+    a[hi_at] -= np.add.reduceat(x[by_hi], hi_starts, axis=0)
+    np.cumsum(a, axis=0, out=a)
+    np.subtract(H * cs[-1][:, None], a[tax._pos].T, out=R)
+    R -= P * leaf_w[tax._pos]
+
+
+def _radius(P: np.ndarray, H: float) -> np.ndarray:
+    """Per-row delta with |tree-sum estimate - kernel risk| <= delta[i],
+    for the rows P on a taxonomy whose classes meet at height H
+    (``CostMatrix.bound``).
+
+    A sum of n terms, in any order, lies within gamma_n * sum |term| of
+    its exact value, with or without FMA (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., Sec. 3.1). With S the row sum, the
+    kernel is within gamma_K * H * S of the exact risk, and so is each
+    part of the tree sum: the prefix sum S, scaled by H; the masses of
+    the inner nodes on a path, each a difference of prefix sums whose
+    steps round by at most u * S, under height steps that add up to at
+    most H; and the range additions, at most K + H deep, whose terms
+    (each node's added once and taken off once) add up to at most
+    2 * H * S in magnitude. The products
+    and subtractions left add at most 6u * H * S. With n = K + H + 8, all
+    of it is below 6 * gamma_n * H * S; the factor (1 + 2nu) covers the
+    rounding of the computed S (a pairwise sum, low by at most
+    (K - 1) * u relative) and of the radius itself, and the last term
+    covers underflow in the K + H + 1 products that do not cancel.
+    """
+    n = P.shape[1] + int(H) + 8
     gamma = n * _U / (1.0 - n * _U)
-    return (2.0 * gamma * H * (1.0 + 2.0 * n * _U)) * P.sum(axis=1) \
+    return (6.0 * gamma * H * (1.0 + 2.0 * n * _U)) * P.sum(axis=1) \
         + n * 2.0 ** -1074
-
-
-def _estimate(P: np.ndarray, C: CostMatrix, R: np.ndarray) -> None:
-    """Write the BLAS product P @ C, the first estimate of the risks of
-    the block of rows P, into that block's rows R of the scores."""
-    # Cost columns are cast a block at a time, so no K x K float table
-    # exists, and each product goes through a small temporary because
-    # matmul into a strided ``out`` does not reach BLAS. C is symmetric,
-    # so the columns are cast from its contiguous rows, about 3x faster
-    # than from a strided column slice.
-    width = _rows_per_block(C.K)
-    for b in range(0, C.K, width):
-        R[:, b:b + width] = P @ C.entries[b:b + width].astype(np.float64).T
 
 
 def _certify(P: np.ndarray, C: CostMatrix, R: np.ndarray,
@@ -264,10 +297,11 @@ def batch_apply(preds: PredictionSet, C: CostMatrix | None,
     row i, cut to its first ``depth`` classes; None, or any depth of K
     or more, ranks every class. ``C`` may be None for the likelihood
     basis only. Likelihood scores are the validated probabilities. Risk
-    scores come from the certified BLAS ranking (see the module
-    docstring): a row with a near tie among its first depth + 1
+    scores on taxonomy costs come from the certified tree sum (see the
+    module docstring): a row with a near tie among its first depth + 1
     estimates, exact ties included, holds its exact kernel risks, and
-    every other row is within delta of them. Both bases walk the rows
+    every other row is within delta of them; on raw costs they are the
+    kernel risks. Both bases walk the rows
     in one loop, ``_rows_per_block(K)`` at a time, so no (N, K) work
     array exists beside the scores. The metrics computed from the
     result are exact integer sums with one final division, so they do
@@ -290,12 +324,15 @@ def batch_apply(preds: PredictionSet, C: CostMatrix | None,
     order = np.empty((preds.N, m), dtype=np.int64)
     for lo in range(0, preds.N, step):
         block, R = P[lo:lo + step], scores[lo:lo + step]
-        if basis == RISK:
-            _estimate(block, C, R)
-            order[lo:lo + step] = _certify(block, C, R, m)
-        else:
+        if basis == LIKELIHOOD:
             order[lo:lo + step] = np.argsort(-block, axis=1,
                                              kind="stable")[:, :m]
+        elif C._tree is None:
+            R[:] = _exact_risks(block, C.entries)
+            order[lo:lo + step] = np.argsort(R, axis=1, kind="stable")[:, :m]
+        else:
+            _tree_risks(block, C._tree, R)
+            order[lo:lo + step] = _certify(block, C, R, m)
     return Ranking(order, scores, basis)
 
 

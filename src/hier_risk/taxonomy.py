@@ -11,7 +11,8 @@ The cost of confusing class i with class j is the height of their
 lowest common ancestor. Height counts edges down to the furthest
 descendant leaf, so every leaf has height 0 and the LCA height of a
 class with itself is 0. A taxonomy walks its tree once, when it is
-built, for every per-node table; the K x K LCA table is built lazily.
+built, for every per-node table; the K x K LCA table and the shape
+arrays of the risk tree sum are built on first use.
 """
 
 from __future__ import annotations
@@ -67,7 +68,8 @@ class Taxonomy:
     Instances come from :func:`parse_taxonomy` (or helpers that delegate
     to it) and must not be mutated afterwards. One walk at construction
     gives every per-node table (depth, height, depth-first leaf range);
-    the pairwise LCA-height matrix is built from them on first use. All
+    the pairwise LCA-height matrix and the shape arrays of the risk tree
+    sum are built from them on first use. All
     queries are read-only and safe under concurrent readers.
 
     Attributes:
@@ -81,7 +83,8 @@ class Taxonomy:
 
     __slots__ = (
         "names", "parent", "root", "leaves", "class_names", "leaf_order",
-        "_children", "_depths", "_heights", "_lo", "_hi", "_lca",
+        "_children", "_depths", "_heights", "_lo", "_hi", "_pos", "_lca",
+        "_shape",
     )
 
     def __init__(self, names, parent):
@@ -124,12 +127,20 @@ class Taxonomy:
                 height[u] = 1 + max([height[c] for c in ch[u]])
                 lo[u], hi[u] = lo[ch[u][0]], hi[ch[u][-1]]
         self._depths, self._heights, self._lo, self._hi = depth, height, lo, hi
-        self.leaves = sorted((i for i in range(n) if not ch[i]),
-                             key=self.names.__getitem__)
+        self._shape = None
+        self._name_classes()
+
+    def _name_classes(self) -> None:
+        """Set the tables that depend on the names: the classes sorted by
+        name, their names and their depth-first positions. The LCA table
+        is rebuilt on next use; the tree's shape is kept."""
+        self.leaves = sorted((i for i, c in enumerate(self._children)
+                              if not c), key=self.names.__getitem__)
         if len(self.leaves) < 2:
             raise TaxonomyError("taxonomy must have at least 2 leaf classes")
         self.class_names = [self.names[i] for i in self.leaves]
         self.leaf_order = {name: k for k, name in enumerate(self.class_names)}
+        self._pos = np.array([self._lo[leaf] for leaf in self.leaves])
         self._lca = None
 
     @property
@@ -173,8 +184,10 @@ class Taxonomy:
         contiguous range of leaf positions. A pair's LCA is the node
         whose children split it, so each child's rows take the node's
         height outside the child's own range: every entry is written
-        once, whatever the tree height. One gather then puts the classes
-        in sorted-name order.
+        once, whatever the tree height. The table is then put into
+        class order in place, so it is the only K x K table: rows follow
+        the cycles of the permutation through one row buffer, and
+        columns are gathered a block of rows at a time.
         """
         if self._lca is None:
             ch, h, lo, hi = self._children, self._heights, self._lo, self._hi
@@ -184,13 +197,53 @@ class Taxonomy:
                 for c in kids:
                     m[lo[c]:hi[c], lo[u]:lo[c]] = h[u]
                     m[lo[c]:hi[c], hi[c]:hi[u]] = h[u]
-            # Rows, then columns: at most two K x K tables at once.
-            at = np.array([lo[leaf] for leaf in self.leaves])
-            m = m.take(at, axis=0)
-            m = m.take(at, axis=1)
+            at = self._pos.tolist()  # row k of the result is row at[k]
+            done = [False] * self.K
+            for k in range(self.K):
+                if done[k]:
+                    continue
+                row, i = m[k].copy(), k
+                while at[i] != k:
+                    m[i], done[i], i = m[at[i]], True, at[i]
+                m[i], done[i] = row, True
+            step = max(1, (1 << 18) // m.strides[0])
+            for b in range(0, self.K, step):
+                m[b:b + step] = m[b:b + step].take(self._pos, axis=1)
             m.setflags(write=False)
             self._lca = m
         return self._lca
+
+    def _sum_shape(self):
+        """Shape arrays of the risk tree sum (``riskmin._tree_risks``),
+        built on first use from the per-node tables alone, so a tree of
+        the same shape can share them.
+
+        Returns ``(H, leaf_w, lo, hi, w, lo_at, lo_starts, by_hi, hi_at,
+        hi_starts)``. H is the height of the LCA of all classes and
+        ``leaf_w`` the height of each leaf position's parent. The inner
+        nodes below that LCA are ordered by their first leaf position
+        ``lo``; ``hi`` is one past their last, and ``w`` is the (V, 1)
+        float64 column of their height steps h(parent) - h(node) > 0.
+        Runs of equal lo start at ``lo_starts`` and hold the nodes that
+        begin at position ``lo_at``; ``by_hi`` orders the nodes by hi,
+        and its runs start at ``hi_starts``, ending at ``hi_at``.
+        """
+        if self._shape is None:
+            lo, hi = np.array(self._lo), np.array(self._hi)
+            h, up = np.array(self._heights), np.array(self.parent)
+            top = hi - lo == self.K  # the root and any unary chain below
+            inner = np.flatnonzero(~top & (h > 0))
+            inner = inner[np.argsort(lo[inner], kind="stable")]
+            leaves = np.flatnonzero(h == 0)
+            leaf_w = np.empty(self.K)
+            leaf_w[lo[leaves]] = h[up[leaves]]
+            by_hi = np.argsort(hi[inner], kind="stable")
+            self._shape = (
+                float(h[top].min()), leaf_w, lo[inner], hi[inner],
+                (h[up[inner]] - h[inner]).astype(np.float64)[:, None],
+                *np.unique(lo[inner], return_index=True), by_hi,
+                *np.unique(hi[inner][by_hi], return_index=True))
+        return self._shape
 
 
 def parse_taxonomy(text: str) -> Taxonomy:
@@ -333,4 +386,11 @@ def shuffle_leaves(tax: Taxonomy, seed: int) -> Taxonomy:
     new_names = list(tax.names)
     for pos, leaf in enumerate(tax.leaves):
         new_names[leaf] = tax.class_names[perm[pos]]
-    return Taxonomy(new_names, tax.parent)
+    # Same shape, so no construction walk: only the name tables change.
+    new = object.__new__(Taxonomy)
+    for attr in ("parent", "root", "_children", "_depths", "_heights",
+                 "_lo", "_hi"):
+        setattr(new, attr, getattr(tax, attr))
+    new.names, new._shape = new_names, tax._sum_shape()
+    new._name_classes()
+    return new

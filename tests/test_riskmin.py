@@ -13,10 +13,12 @@ from hier_risk import (CostMatrix, PredictionSet, Ranking,
                        SynthConfig, batch_apply, batch_crm_top1,
                        build_cost_matrix, conditional_risk, crm_predict,
                        crm_rerank, gen_predictions, gen_taxonomy,
-                       likelihood_rank, parse_taxonomy)
+                       likelihood_rank, parse_taxonomy, save_hierarchy)
 from hier_risk import predictions, riskmin
 from hier_risk.riskmin import (LIKELIHOOD, RISK, _certify,
-                               _check_prob_vector, _exact_risks, _radius)
+                               _check_prob_vector, _exact_risks, _radius,
+                               _tree_risks)
+from test_taxonomy import caterpillar
 
 TWO_BRANCH = parse_taxonomy(
     "a\tp1\nb\tp1\nc\tp2\nd\tp2\np1\troot\np2\troot\n")
@@ -27,6 +29,19 @@ def synth_batch(seed, K, N, tree_mode="random-attachment"):
     cfg = SynthConfig(seed=seed, K=K, N=N, tree_mode=tree_mode)
     tax = gen_taxonomy(cfg)
     return tax, gen_predictions(cfg, tax)
+
+
+def assert_score_contract(batch, risks, perms, delta):
+    """A row holds its kernel ``risks`` bit for bit, or its scores in
+    the kernel order ``perms`` (to the depth checked) are all more than
+    2 * delta apart; every score is within delta of its risk. Returns
+    which rows hold their kernel risks."""
+    gaps = np.diff(np.take_along_axis(batch.scores, perms, axis=1), axis=1)
+    assert (gaps >= 0).all()
+    exact = (batch.scores == risks).all(axis=1)
+    assert (exact | (gaps > 2 * delta).all(axis=1)).all()
+    assert (np.abs(batch.scores - risks) <= delta).all()
+    return exact
 
 
 def test_cost_matrix_shape_validation():
@@ -92,7 +107,9 @@ def test_taxonomy_costs_adopt_the_cached_lca_table():
 def test_scaled_compact_table_matches_int64_scaling(factor):
     # The taxonomy table is uint8 and the kernel widens whatever table
     # it reads exactly: the compact table, and its int64 widening times
-    # ``factor``, rank with the same bits as float64 copies of them.
+    # ``factor``, rank as float64 copies of them do. Raw tables score
+    # with the kernel's bits; the taxonomy's scores are tree sums held
+    # to the score contract.
     tax, preds = synth_batch(4, 50, 40)
     C = build_cost_matrix(tax)
     assert C.entries.dtype == np.uint8
@@ -102,7 +119,13 @@ def test_scaled_compact_table_matches_int64_scaling(factor):
         assert M.bound == F.bound
         ranked, ref = (batch_apply(preds, D, "crm") for D in (M, F))
         assert np.array_equal(ranked.permutation, ref.permutation)
-        assert np.array_equal(ranked.scores, ref.scores)
+        if M is not C:
+            assert np.array_equal(ranked.scores, ref.scores)
+    ranked, risks = batch_apply(preds, C, "crm"), _exact_risks(preds.probs,
+                                                               C.entries)
+    exact = assert_score_contract(ranked, risks, ranked.permutation,
+                                  _radius(preds.probs, C.bound)[:, None])
+    assert not exact.all()  # estimates, not the kernel's bits
 
 
 def test_probability_vector_validation():
@@ -352,6 +375,8 @@ def adversarial_rows(rng, K, kinds):
         elif kind == "halves":
             row = np.zeros(K)
             row[rng.choice(K, size=2, replace=False)] = 0.5
+        elif kind == "dirichlet":  # no ties, and most risks far apart
+            row = rng.dirichlet(np.full(K, 0.3))
         else:
             row = rng.dirichlet(np.ones(K))
             tiny = rng.random(K) < 0.5
@@ -376,9 +401,9 @@ def stacked_rerank(raw, C):
        kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=6))
 def test_certified_batch_ranking_is_the_kernel_ranking(seed, K, tree_mode,
                                                        scale, kinds):
-    # The batch ranks from a BLAS product; its certificate must still
-    # give exactly the single-sample permutations, on inputs built to
-    # be full of exact and near ties.
+    # Taxonomy costs rank from tree sums, scaled raw ones from the
+    # kernel; either way the batch must give exactly the single-sample
+    # permutations, on inputs built to be full of exact and near ties.
     if tree_mode == "balanced-binary":
         K = 1 << (K.bit_length() - 1)
     tax = gen_taxonomy(SynthConfig(seed=seed, K=K, N=0, tree_mode=tree_mode))
@@ -396,18 +421,42 @@ def test_certified_batch_ranking_is_the_kernel_ranking(seed, K, tree_mode,
     perms, risks = stacked_rerank(raw, C)
     assert np.array_equal(batch.permutation, perms)
     assert np.array_equal(batch_crm_top1(preds, C), perms[:, 0])
-    delta = _radius(preds.probs, C.bound)[:, None]
-    gaps = np.diff(np.take_along_axis(batch.scores, perms, axis=1), axis=1)
-    assert (gaps >= 0).all()
-    # Score contract: a row is its exact kernel risks bit for bit, or
-    # its sorted scores are all more than 2 * delta apart.
-    exact = (batch.scores == risks).all(axis=1)
-    assert (exact | (gaps > 2 * delta).all(axis=1)).all()
-    assert (np.abs(batch.scores - risks) <= delta).all()
+    exact = assert_score_contract(batch, risks, perms,
+                                  _radius(preds.probs, C.bound)[:, None])
+    if scale != 1.0:
+        assert exact.all()  # raw costs rank from the kernel itself
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), K=st.integers(2, 300),
+       tree_mode=st.sampled_from(["flat", "balanced-binary",
+                                  "random-attachment", "caterpillar"]),
+       kinds=st.lists(st.sampled_from(ROW_KINDS + ("dirichlet",)),
+                      min_size=1, max_size=6))
+def test_tree_risks_lie_within_the_radius_of_the_kernel(seed, K, tree_mode,
+                                                        kinds):
+    # The certificate's premise: every tree-sum estimate is within delta
+    # of its kernel risk, on shallow, deep and unbalanced trees.
+    if tree_mode == "caterpillar":
+        tax = caterpillar(K - 1)
+    else:
+        if tree_mode == "balanced-binary":
+            K = 1 << (K.bit_length() - 1)
+        tax = gen_taxonomy(SynthConfig(seed=seed, K=K, N=0,
+                                       tree_mode=tree_mode))
+    C = build_cost_matrix(tax)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    raw = adversarial_rows(rng, tax.K, kinds)
+    preds = PredictionSet(raw, np.zeros(len(raw), dtype=np.int64),
+                          C.class_names)
+    est = np.empty(preds.probs.shape)
+    _tree_risks(preds.probs, tax, est)
+    err = np.abs(est - _exact_risks(preds.probs, C.entries))
+    assert (err <= _radius(preds.probs, C.bound)[:, None]).all()
 
 
 def test_certificate_alone_gives_exact_order():
-    # Replace the BLAS product by the worst estimate the radius allows:
+    # Replace the tree sum by the worst estimate the radius allows:
     # every kernel risk moved by delta, up for even classes and down for
     # odd ones. Ties split and near-ties swap, yet the certified
     # permutation must not change.
@@ -467,12 +516,8 @@ def test_a_batch_of_many_blocks_ranks_each_row_alone(basis):
                 assert np.array_equal(batch.scores, preds.probs)
                 continue
             # The score contract, over the first m + 1 ranks checked.
-            gaps = np.diff(np.take_along_axis(batch.scores, perms[:, :m + 1],
-                                              axis=1), axis=1)
-            assert (gaps >= 0).all()
-            exact = (batch.scores == risks).all(axis=1)
-            assert (exact | (gaps > 2 * delta).all(axis=1)).all()
-            assert (np.abs(batch.scores - risks) <= delta).all()
+            exact = assert_score_contract(batch, risks, perms[:, :m + 1],
+                                          delta)
             assert exact.any() and not exact.all(), m  # both paths taken
 
 
@@ -527,7 +572,7 @@ def test_depth_m_ranking_is_the_prefix_of_the_full_one(seed, K, tree_mode,
 def test_depth_one_on_the_tall_shape_reaches_no_exact_risks(monkeypatch):
     # Near ties on this shape sit below rank 0, so a depth-1 ranking (the
     # one calibrate and the Theorem-1 check read) certifies every row
-    # from the BLAS product, while the full ranking re-ranks many rows.
+    # from the tree sum, while the full ranking re-ranks many rows.
     cfg = SynthConfig(seed=1, K=32, N=20000, concentration=0.05,
                       truth_mode="corrupted", corrupt_rho=0.2,
                       tree_mode="balanced-binary")
@@ -553,28 +598,29 @@ def test_depth_one_on_the_tall_shape_reaches_no_exact_risks(monkeypatch):
 RANK_IN_CHILD = """
 import hashlib
 import numpy as np
-from hier_risk import CostMatrix, PredictionSet, batch_apply
-C = np.load({costs!r})
+from hier_risk import PredictionSet, batch_apply, build_cost_matrix
+from hier_risk import load_hierarchy
+C = build_cost_matrix(load_hierarchy({tree!r}))
 raw = np.load({rows!r})
 ranking = batch_apply(PredictionSet(raw, np.zeros(len(raw), dtype=np.int64),
-                                    [str(k) for k in range(len(C))]),
-                      CostMatrix(C), "crm")
+                                    C.class_names), C, "crm")
 print(hashlib.sha256(ranking.permutation.tobytes()).hexdigest())
 """
 
 
 def test_batch_permutation_is_independent_of_blas_threads(tmp_path,
                                                          checkout_env):
-    # Large enough for a threaded BLAS product; rows on a 10**-3 grid
-    # leave many exact and near ties for the certificate to resolve.
+    # No ranking calls BLAS, so its thread setting cannot reach the
+    # permutation; rows on a 10**-3 grid leave many exact and near ties
+    # for the certificate to resolve.
     tax = gen_taxonomy(SynthConfig(seed=5, K=256, N=0,
                                    tree_mode="balanced-binary"))
     C = build_cost_matrix(tax)
     raw = adversarial_rows(np.random.Generator(np.random.PCG64(5)), 256,
                            ["grid3"] * 300 + ["repeated"] * 20)
-    np.save(tmp_path / "C.npy", C.entries)
+    save_hierarchy(tax, tmp_path / "tree.tsv")
     np.save(tmp_path / "rows.npy", raw)
-    script = RANK_IN_CHILD.format(costs=str(tmp_path / "C.npy"),
+    script = RANK_IN_CHILD.format(tree=str(tmp_path / "tree.tsv"),
                                   rows=str(tmp_path / "rows.npy"))
     hashes = []
     for threads in ("1", None):

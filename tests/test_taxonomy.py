@@ -197,7 +197,7 @@ def test_lca_table_equals_the_int64_reference(name):
                for v, d in enumerate(tax.depths()))
     assert tax.heights() == reference_heights(tax)
     assert tax.class_names == [tax.names[leaf] for leaf in tax.leaves]
-    assert build_cost_matrix(tax).bound == m.max()
+    assert build_cost_matrix(tax).bound == m.max() == tax._sum_shape()[0]
 
 
 @pytest.mark.parametrize("name", ["random-attachment", "caterpillar"])
@@ -221,19 +221,24 @@ def test_metric_reduction_reads_the_compact_table_exactly(name):
         assert count == int((D[:, 0] == h).sum())
 
 
-def test_lca_table_build_holds_at_most_two_tables():
-    # The block fill plus the gather into class order: two K x K uint8
-    # tables at the peak, no int64 or float64 one.
-    tax = random_tree(1, 1024)
-    tax.heights()
+@pytest.mark.parametrize("tree", ["random-attachment", "caterpillar"])
+def test_lca_table_build_holds_one_table(tree):
+    # The block fill, then rows permuted in place through one row buffer
+    # and columns gathered 256 KiB of rows at a time: one K x K table at
+    # the peak, no int64 or float64 one. Gathering rows, then columns,
+    # into fresh tables held two.
+    tax = random_tree(1, 1024) if tree == "random-attachment" else \
+        caterpillar(1023)
     tracemalloc.start()
     try:
         m = tax.lca_matrix()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert m.dtype == np.uint8
-    assert peak <= 2 * m.nbytes + (1 << 18), peak
+    assert m.dtype == (np.uint8 if tree == "random-attachment"
+                       else np.uint16)
+    assert np.array_equal(m, reference_lca(tax))
+    assert peak <= m.nbytes + (1 << 18) + (1 << 17), peak
 
 
 def test_collapse_depth_validation():
@@ -268,6 +273,27 @@ def test_shuffle_is_deterministic_and_structure_preserving():
     with pytest.raises(ValueError, match="^seed must be a non-negative "
                                          "integer, got -1$"):
         shuffle_leaves(tax, -1)
+
+
+@pytest.mark.parametrize("mode", ["flat", "balanced-binary",
+                                  "random-attachment"])
+def test_shuffled_tree_equals_the_rebuilt_one(mode):
+    # shuffle_leaves keeps the source's shape tables and shares its
+    # tree-sum shape arrays instead of walking the tree again; every
+    # table must still be what construction gives.
+    tax = gen_taxonomy(SynthConfig(seed=4, K=64, N=0, tree_mode=mode))
+    shuf = shuffle_leaves(tax, 2)
+    ref = Taxonomy(shuf.names, tax.parent)
+    for attr in ("names", "parent", "root", "leaves", "class_names",
+                 "leaf_order", "_children", "_depths", "_heights", "_lo",
+                 "_hi"):
+        assert getattr(shuf, attr) == getattr(ref, attr), attr
+    assert np.array_equal(shuf._pos, ref._pos)
+    assert shuf._sum_shape() is tax._sum_shape()
+    for got, want in zip(shuf._sum_shape(), ref._sum_shape()):
+        assert np.array_equal(got, want)
+    assert np.array_equal(shuf.lca_matrix(), ref.lca_matrix())
+    assert shuf.leaves != tax.leaves  # the classes did move
 
 
 def test_returned_tables_are_copies():
