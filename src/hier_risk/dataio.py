@@ -8,7 +8,7 @@ round-trip repr. Every file is read through one opener, which detects
 gzip by its magic bytes, and written through one, which compresses a
 path ending in ``.gz`` with a zeroed mtime so identical inputs give
 identical bytes, reports included. Prediction files are read in blocks
-of rows of about 1 MiB of text, each line's values written into its
+of rows of about 256 KiB of text, each line's values written into its
 block's array as the line is read, so a reader holds one line of text
 beside one block of values: ``read_predictions`` yields each block once
 it is checked, for a caller that reduces it and drops it, and
@@ -18,7 +18,7 @@ The write side mirrors that: ``write_predictions`` writes blocks as a
 producer yields them, and ``save_predictions`` hands it a whole set's
 row blocks. Every writer encodes and writes one line at a time, so it
 holds one line of text beside the file's 64 KiB buffer; the cost-matrix
-CSV goes out the same way.
+CSV goes out the same way, its rows built a block at a time.
 Undecodable bytes are reported by line and byte.
 
 Reports (``MetricsReport``, ``CalibrationReport``) go through one JSON
@@ -515,8 +515,8 @@ def _cost_csv_lines(C: CostMatrix):
     after the header, as a generator."""
     if C.class_names is None:
         raise ValueError("cost matrix carries no class names")
-    e = C.entries
-    if e.dtype.kind not in "iu" and not np.all(e == np.floor(e)):
+    e = C._entries  # None on a taxonomy, whose LCA heights are integers
+    if e is not None and not np.all(e == np.floor(e)):
         raise ValueError("cost matrix entries are not integral")
     names = C.class_names
     _check_csv_names(names)
@@ -524,7 +524,7 @@ def _cost_csv_lines(C: CostMatrix):
     def lines():
         text = _IntText()
         yield "," + ",".join(names) + "\n"
-        for name, row in zip(names, e):
+        for name, row in zip(names, C._rows()):
             yield f"{name},{','.join(map(text.__getitem__, row.tolist()))}\n"
 
     return lines()

@@ -93,22 +93,22 @@ class Evaluation:
 
     def __init__(self, tax: Taxonomy, k_list=None):
         self.ks = _sorted_ks(k_list, tax.K)
-        self.lca = tax.lca_matrix()
+        self.tax = tax
         self.height = node_height(tax, tax.root)
         self.n = 0
         self.columns = np.zeros(self.ks[-1], dtype=np.int64)
         self.counts = np.zeros(self.height + 1, dtype=np.int64)
 
     def count(self, ranked: Ranking, truth) -> None:
-        if ranked.scores.shape[-1] != self.lca.shape[0]:
+        if ranked.scores.shape[-1] != self.tax.K:
             raise ValueError(f"ranking over {ranked.scores.shape[-1]} classes "
-                             f"for a taxonomy of {self.lca.shape[0]}")
+                             f"for a taxonomy of {self.tax.K}")
         m = self.ks[-1]
         if m > ranked.permutation.shape[1]:
             raise ValueError(f"k={m} exceeds the ranking depth "
                              f"{ranked.permutation.shape[1]}")
         t = _as_truth(ranked, truth)
-        D = self.lca[t[:, None], ranked.permutation[:, :m]]
+        D = self.tax.lca_rows(t, ranked.permutation[:, :m])
         self.n += t.shape[0]
         self.columns += D.sum(axis=0, dtype=np.int64)
         self.counts += np.bincount(D[:, 0], minlength=self.height + 1)

@@ -17,8 +17,8 @@ _BLOCK = 1 << 18  # about the bytes of text per block of rows
 def _rows_per_block(K: int) -> int:
     """Rows per block of every row loop, the one block size: about
     ``_BLOCK`` bytes of text (a value's repr is about 20 chars), and at
-    least one row. No step of a row loop reads a K x K table per block,
-    so fewer rows cost no more work per row."""
+    least one row. No step of a row loop builds a K x K table, so fewer
+    rows cost no more work per row."""
     return max(1, _BLOCK // (20 * K))
 
 

@@ -58,18 +58,17 @@ RISK = "crm"
 class CostMatrix:
     """K x K symmetric confusion-cost matrix with a zero diagonal.
 
-    Matrices built from a taxonomy carry the taxonomy's compact
-    unsigned table of LCA heights and the class names in taxonomy
-    order, and rank from a sum over its tree. Raw arrays are accepted
-    as a side door for testing; they are copied and validated only for
-    squareness, symmetry, and the zero diagonal, and rank from the
-    exact kernel. ``entries`` is one read-only C-contiguous table, the
-    same one the risk kernel reads. ``bound`` is max |entry|, as a
-    float, found once per matrix: on a taxonomy, the height of the LCA
-    of all classes, the H of the ranking's radius.
+    Matrices built from a taxonomy carry it and its class names, rank
+    from a sum over its tree and read its LCA rows. Raw arrays are
+    accepted as a side door for testing; they are copied and validated
+    only for squareness, symmetry, and the zero diagonal, and rank from
+    the exact kernel. ``entries`` is one read-only C-contiguous table,
+    on a taxonomy its ``lca_matrix()``, built on first read. ``bound``
+    is max |entry|, as a float, found once per matrix: on a taxonomy,
+    the height of the LCA of all classes, the H of the ranking's radius.
     """
 
-    __slots__ = ("K", "entries", "class_names", "bound", "_tree")
+    __slots__ = ("K", "_entries", "class_names", "bound", "_tree")
 
     def __init__(self, entries, class_names=None):
         e = np.array(entries, order="C", copy=True)
@@ -84,9 +83,8 @@ class CostMatrix:
         if (np.diag(e) != 0).any():
             raise ValueError("cost matrix diagonal must be zero")
         e.flags.writeable = False
-        self.entries, self._tree = e, None
+        self._entries, self._tree, self.K = e, None, e.shape[0]
         self.bound = max(float(e.max()), -float(e.min()))
-        self.K = e.shape[0]
         if class_names is not None:
             class_names = [str(n) for n in class_names]
             if len(class_names) != self.K:
@@ -97,6 +95,14 @@ class CostMatrix:
 
     def __repr__(self) -> str:
         return f"CostMatrix(K={self.K})"
+
+    @property
+    def entries(self) -> np.ndarray:
+        return self._tree.lca_matrix() if self._tree else self._entries
+
+    def _rows(self):
+        """Each row in order, a taxonomy's built a block at a time."""
+        return self._tree._lca_each() if self._tree else iter(self._entries)
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,17 +140,13 @@ class Ranking:
 
 
 def build_cost_matrix(tax: Taxonomy) -> CostMatrix:
-    """Pairwise LCA-height matrix over the taxonomy's classes.
-
-    The matrix adopts the taxonomy's cached read-only LCA table instead
-    of copying it; LCA heights are symmetric with a zero diagonal by
-    construction, so there is nothing to check.
+    """Pairwise LCA-height matrix over the taxonomy's classes, reading
+    its rows from the taxonomy, so it builds no table. LCA heights are
+    symmetric with a zero diagonal by construction: nothing to check.
     """
     C = CostMatrix.__new__(CostMatrix)
-    C.entries, C.K, C.class_names = tax.lca_matrix(), tax.K, tax.class_names
-    C._tree = tax
-    # Any row holds the max: the LCA height of all classes, not h(root).
-    C.bound = float(C.entries[0].max())
+    C._entries, C.K, C.class_names = None, tax.K, tax.class_names
+    C._tree, C.bound = tax, float(tax._adj.max())  # not h(root)
     return C
 
 
@@ -160,16 +162,16 @@ def _check_prob_vector(p, K: int | None = None) -> np.ndarray:
     return arr
 
 
-def _exact_risks(P: np.ndarray, C: np.ndarray) -> np.ndarray:
+def _exact_risks(P: np.ndarray, C: CostMatrix) -> np.ndarray:
     """Kernel risks sum_j C[j, k] * P[i, j] of every row i and class k.
 
     Products are added in ascending j, each a multiply followed by an
     add, so a row's risks never depend on the other rows in the call.
-    CostMatrix enforces C == C.T, so the contiguous row C[j] holds the
-    costs C[k, j] for every k; integer costs become float64 exactly.
+    CostMatrix enforces C == C.T, so the row C[j] holds the costs
+    C[k, j] for every k; integer costs become float64 exactly.
     """
-    out = np.zeros((P.shape[0], C.shape[1]), dtype=np.float64)
-    for pj, cj in zip(P.T, C):
+    out = np.zeros((P.shape[0], C.K), dtype=np.float64)
+    for pj, cj in zip(P.T, C._rows()):
         out += pj[:, None] * cj
     return out
 
@@ -248,14 +250,14 @@ def _certify(P: np.ndarray, C: CostMatrix, R: np.ndarray,
     tol = 2.0 * _radius(P, C.bound)
     redo = np.flatnonzero((gaps <= tol[:, None]).any(axis=1))
     if redo.size:
-        R[redo] = _exact_risks(P[redo], C.entries)
+        R[redo] = _exact_risks(P[redo], C)
         order[redo] = np.argsort(R[redo], axis=1, kind="stable")
     return order[:, :m]
 
 
 def conditional_risk(p, C: CostMatrix) -> np.ndarray:
     """Per-class risks sum_j C[k, j] * p[j] for one sample."""
-    return _exact_risks(_check_prob_vector(p, C.K)[None, :], C.entries)[0]
+    return _exact_risks(_check_prob_vector(p, C.K)[None, :], C)[0]
 
 
 def crm_predict(p, C: CostMatrix) -> int:
@@ -301,11 +303,11 @@ def batch_apply(preds: PredictionSet, C: CostMatrix | None,
     module docstring): a row with a near tie among its first depth + 1
     estimates, exact ties included, holds its exact kernel risks, and
     every other row is within delta of them; on raw costs they are the
-    kernel risks. Both bases walk the rows
-    in one loop, ``_rows_per_block(K)`` at a time, so no (N, K) work
-    array exists beside the scores. The metrics computed from the
-    result are exact integer sums with one final division, so they do
-    not depend on the order of the rows.
+    kernel risks. Both bases walk the rows in one loop,
+    ``_rows_per_block(K)`` at a time, so no (N, K) work array exists
+    beside the scores. The metrics computed from the result are exact
+    integer sums with one final division, so they do not depend on the
+    order of the rows.
     """
     _check_basis(basis)
     if C is None and basis == RISK:
@@ -328,7 +330,7 @@ def batch_apply(preds: PredictionSet, C: CostMatrix | None,
             order[lo:lo + step] = np.argsort(-block, axis=1,
                                              kind="stable")[:, :m]
         elif C._tree is None:
-            R[:] = _exact_risks(block, C.entries)
+            R[:] = _exact_risks(block, C)
             order[lo:lo + step] = np.argsort(R, axis=1, kind="stable")[:, :m]
         else:
             _tree_risks(block, C._tree, R)

@@ -11,8 +11,10 @@ The cost of confusing class i with class j is the height of their
 lowest common ancestor. Height counts edges down to the furthest
 descendant leaf, so every leaf has height 0 and the LCA height of a
 class with itself is 0. A taxonomy walks its tree once, when it is
-built, for every per-node table; the K x K LCA table and the shape
-arrays of the risk tree sum are built on first use.
+built, for every per-node table and the one LCA encoding: the heights
+of the LCAs of depth-first adjacent leaves, whose range maxima are all
+LCA heights (Bender and Farach-Colton, LATIN 2000). Every consumer
+reads rows built from it by ``lca_rows``, O(K) each.
 """
 
 from __future__ import annotations
@@ -67,9 +69,9 @@ class Taxonomy:
 
     Instances come from :func:`parse_taxonomy` (or helpers that delegate
     to it) and must not be mutated afterwards. One walk at construction
-    gives every per-node table (depth, height, depth-first leaf range);
-    the pairwise LCA-height matrix and the shape arrays of the risk tree
-    sum are built from them on first use. All
+    gives every per-node table (depth, height, depth-first leaf range,
+    adjacent LCA height); the pairwise LCA-height matrix and the shape
+    arrays of the risk tree sum are built from them on first use. All
     queries are read-only and safe under concurrent readers.
 
     Attributes:
@@ -83,8 +85,8 @@ class Taxonomy:
 
     __slots__ = (
         "names", "parent", "root", "leaves", "class_names", "leaf_order",
-        "_children", "_depths", "_heights", "_lo", "_hi", "_pos", "_lca",
-        "_shape",
+        "_children", "_depths", "_heights", "_lo", "_hi", "_adj", "_pos",
+        "_lca", "_shape",
     )
 
     def __init__(self, names, parent):
@@ -109,7 +111,8 @@ class Taxonomy:
                 ch[p].append(i)
         self._children = ch
         # Preorder from the root: depths on the way down, leaves numbered
-        # in visit order; then heights and leaf ranges children first.
+        # in visit order; then heights and leaf ranges children first,
+        # and h(u) between the leaf ranges of u's consecutive children.
         depth, height, lo, hi = ([0] * n for _ in range(4))
         preorder, stack, k = [], [self.root], 0
         while stack:
@@ -122,11 +125,15 @@ class Taxonomy:
             stack.extend(reversed(ch[u]))
         if len(preorder) != n:
             raise TaxonomyError("every node must descend from the root")
+        adj = [0] * (k - 1)
         for u in reversed(preorder):
             if ch[u]:
                 height[u] = 1 + max([height[c] for c in ch[u]])
                 lo[u], hi[u] = lo[ch[u][0]], hi[ch[u][-1]]
+                for c in ch[u][:-1]:
+                    adj[hi[c] - 1] = height[u]
         self._depths, self._heights, self._lo, self._hi = depth, height, lo, hi
+        self._adj = np.array(adj, dtype=np.min_scalar_type(height[self.root]))
         self._shape = None
         self._name_classes()
 
@@ -162,13 +169,29 @@ class Taxonomy:
     def max_leaf_depth(self) -> int:
         return max(self._depths[leaf] for leaf in self.leaves)
 
-    def root_path(self, node: int) -> list[int]:
-        """Node indices from the root down to ``node`` inclusive."""
-        path = [node]
-        while self.parent[path[-1]] >= 0:
-            path.append(self.parent[path[-1]])
-        path.reverse()
-        return path
+    def lca_rows(self, classes, columns=None) -> np.ndarray:
+        """LCA heights of the classes in the 1-d int array ``classes``:
+        row r is row ``classes[r]`` of :meth:`lca_matrix`, or with an
+        (n, m) int array ``columns``, its entries at ``columns[r]``, read
+        from the running maxima of the adjacent heights outward from the
+        class's leaf, in leaf-position order."""
+        left = np.arange(self.K - 1) < self._pos[classes][:, None]
+        out = np.zeros((left.shape[0], self.K), self._adj.dtype)
+        right = np.multiply(self._adj, ~left, out=out[:, 1:])
+        np.maximum.accumulate(right, axis=1, out=right)
+        left = (self._adj * left)[:, ::-1]
+        np.maximum.accumulate(left, axis=1, out=left)
+        np.maximum(out[:, :-1], left[:, ::-1], out=out[:, :-1])
+        if columns is None:
+            return out.take(self._pos, axis=1)
+        at = np.arange(len(out))[:, None] * self.K  # each row's first entry
+        return out.take(at + self._pos[columns])
+
+    def _lca_each(self):
+        """Every class's LCA row in order, built 32 Ki entries at a time."""
+        step = max(1, (1 << 15) // self.K)
+        for lo in range(0, self.K, step):
+            yield from self.lca_rows(np.arange(lo, min(lo + step, self.K)))
 
     def lca_matrix(self) -> np.ndarray:
         """K x K matrix of pairwise LCA heights over classes, cached.
@@ -178,37 +201,12 @@ class Taxonomy:
         unsigned one that holds the tree height (``np.min_scalar_type``:
         uint8, so K**2 bytes, up to height 255; uint16 above). Callers
         must cast before any arithmetic that can go negative or
-        overflow. The table is read-only and C-contiguous.
-
-        Leaves are numbered depth first, so every node owns one
-        contiguous range of leaf positions. A pair's LCA is the node
-        whose children split it, so each child's rows take the node's
-        height outside the child's own range: every entry is written
-        once, whatever the tree height. The table is then put into
-        class order in place, so it is the only K x K table: rows follow
-        the cycles of the permutation through one row buffer, and
-        columns are gathered a block of rows at a time.
+        overflow. The table is read-only and C-contiguous, the only
+        K x K array of its build; no command builds it.
         """
         if self._lca is None:
-            ch, h, lo, hi = self._children, self._heights, self._lo, self._hi
-            m = np.zeros((self.K, self.K),
-                         dtype=np.min_scalar_type(h[self.root]))
-            for u, kids in enumerate(ch):
-                for c in kids:
-                    m[lo[c]:hi[c], lo[u]:lo[c]] = h[u]
-                    m[lo[c]:hi[c], hi[c]:hi[u]] = h[u]
-            at = self._pos.tolist()  # row k of the result is row at[k]
-            done = [False] * self.K
-            for k in range(self.K):
-                if done[k]:
-                    continue
-                row, i = m[k].copy(), k
-                while at[i] != k:
-                    m[i], done[i], i = m[at[i]], True, at[i]
-                m[i], done[i] = row, True
-            step = max(1, (1 << 18) // m.strides[0])
-            for b in range(0, self.K, step):
-                m[b:b + step] = m[b:b + step].take(self._pos, axis=1)
+            m = np.fromiter(self._lca_each(),
+                            np.dtype((self._adj.dtype, self.K)), self.K)
             m.setflags(write=False)
             self._lca = m
         return self._lca
@@ -389,7 +387,7 @@ def shuffle_leaves(tax: Taxonomy, seed: int) -> Taxonomy:
     # Same shape, so no construction walk: only the name tables change.
     new = object.__new__(Taxonomy)
     for attr in ("parent", "root", "_children", "_depths", "_heights",
-                 "_lo", "_hi"):
+                 "_lo", "_hi", "_adj"):
         setattr(new, attr, getattr(tax, attr))
     new.names, new._shape = new_names, tax._sum_shape()
     new._name_classes()

@@ -17,8 +17,9 @@ import numpy as np
 import pytest
 
 import hier_risk
-from hier_risk import dataio
-from hier_risk import (FormatError, PredictionSet, apply_temperature,
+from hier_risk import dataio, riskmin
+from hier_risk import (FormatError, PredictionSet, Taxonomy,
+                       apply_temperature,
                        bin_confidences, build_cost_matrix, ece,
                        fit_temperature, full_report,
                        load_hierarchy, load_metrics_report, load_predictions,
@@ -236,6 +237,60 @@ def test_shuffle_eval_requires_seed(corpus, capsys):
     capsys.readouterr()
 
 
+def test_no_command_builds_the_lca_table(corpus, tmp_path, capsys,
+                                         monkeypatch):
+    # Every consumer reads rows of LCA heights from the depth-first
+    # encoding, the near-tie resolver's cost rows included, so no op
+    # builds the K x K table, and the artifacts keep their bytes. Uniform
+    # and two-way split rows tie exactly, so the resolver runs.
+    h, v, p = corpus["hier"], corpus["val"], str(tmp_path / "ties.csv")
+    tax = load_hierarchy(h)
+    rng = np.random.default_rng(5)
+    split = np.zeros((8, tax.K))
+    split[np.arange(8), rng.integers(0, tax.K, 8)] += 0.5
+    split[np.arange(8), rng.integers(0, tax.K, 8)] += 0.5
+    probs = np.vstack([rng.dirichlet(np.ones(tax.K), 40),
+                       np.full((4, tax.K), 1 / tax.K), split])
+    save_predictions(PredictionSet(probs, rng.integers(0, tax.K, len(probs)),
+                                   tax.class_names), p)
+    ops = {
+        "eval-crm": ["eval", "--hierarchy", h, "--predictions", p],
+        "eval-likelihood": ["eval", "--hierarchy", h, "--predictions", p,
+                            "--basis", "likelihood"],
+        "calibrate": ["calibrate", "--hierarchy", h, "--source",
+                      "crm-selected", "--val-predictions", v,
+                      "--predictions", p],
+        "shuffle-eval": ["shuffle-eval", "--hierarchy", h, "--predictions",
+                         p, "--seed", "3"],
+        "build-costs": ["build-costs", "--hierarchy", h],
+    }
+
+    def run_all(tag):
+        out = {}
+        for name, op in ops.items():
+            path = tmp_path / f"{name}.{tag}"
+            assert main([*op, "--out", str(path)]) == 0, capsys.readouterr()
+            out[name] = path.read_bytes()
+        return out
+
+    want = run_all("table")
+    resolved = []
+
+    def counting(P, C):
+        resolved.append(P.shape[0])
+        return exact(P, C)
+
+    def refuse(self):
+        raise AssertionError("the K x K LCA table was built")
+
+    exact = riskmin._exact_risks
+    monkeypatch.setattr(riskmin, "_exact_risks", counting)
+    monkeypatch.setattr(Taxonomy, "lca_matrix", refuse)
+    assert run_all("rows") == want
+    assert sum(resolved) > 0  # the resolver read cost rows
+    capsys.readouterr()
+
+
 def test_cyclic_hierarchy_exits_two(tmp_path, capsys):
     cyc = tmp_path / "cyc.tsv"
     cyc.write_text("a\tb\nb\ta\n")
@@ -395,18 +450,18 @@ def _eval_peak_mib(tmp_path, env, h, p, basis):
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="ru_maxrss is in KiB on Linux")
 def test_wide_eval_peak_memory_stays_under_ceiling(tmp_path, checkout_env):
-    # K=9999 random tree (height 25): the uint8 LCA table is 100 MB, and
-    # it is put into class order in place, so it is the only one. The
-    # int64 table peaked at about 1.1 GB here; the compact one at about
-    # 260 MB, and at 230 MB when the build held two of them. One table
-    # peaks at about 138 MB, measured on a 2-vCPU Linux VM; the ceiling
-    # is below what a second table would add.
+    # K=9999 random tree (height 25): the uint8 LCA table would be
+    # 100 MB, but eval reads each truth's row of LCA heights, and the
+    # near-tie resolver cost rows a block at a time, so no table exists.
+    # The peak is about 42 MiB, measured on a 2-vCPU Linux VM; building
+    # the one table took it to 137 MiB, and the int64 table to 1.1 GB.
+    # The ceiling is below what the table would add.
     h, p = tmp_path / "h.tsv", tmp_path / "p.csv"
     assert main(["simulate", "--seed", "1", "--classes", "9999",
                  "--samples", "6", "--concentration", "0.3",
                  "--tree-mode", "random-attachment",
                  "--out-predictions", str(p), "--out-hierarchy", str(h)]) == 0
-    assert _eval_peak_mib(tmp_path, checkout_env, h, p, "crm") < 170
+    assert _eval_peak_mib(tmp_path, checkout_env, h, p, "crm") < 64
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -415,10 +470,11 @@ def test_wide_crm_eval_peak_stays_near_the_import_floor(tmp_path,
                                                         checkout_env):
     # The wide-crm benchmark shape: K=1024 random tree, 250 rows. Above
     # the peak of ``--help`` (the interpreter and numpy), eval --basis
-    # crm holds the taxonomy, its 1 MiB LCA table and one block of 12
-    # rows with its tree sum: about 3.4 MiB, measured on a 2-vCPU Linux
-    # VM. Ranking 64-row blocks by a BLAS product, after building the
-    # table through a second one, took 4.7 to 4.9 MiB.
+    # crm holds the taxonomy and one block of 12 rows with its tree sum
+    # and the truths' LCA rows: about 2.5 MiB, measured on a 2-vCPU
+    # Linux VM. Holding the 1 MiB LCA table took 3.4 MiB; ranking 64-row
+    # blocks by a BLAS product, after building the table through a
+    # second one, took 4.7 to 4.9 MiB.
     h, p = tmp_path / "h.tsv", tmp_path / "p.csv"
     assert main(["simulate", "--seed", "1", "--classes", "1024",
                  "--samples", "250", "--concentration", "0.3",
@@ -426,20 +482,19 @@ def test_wide_crm_eval_peak_stays_near_the_import_floor(tmp_path,
                  "--out-predictions", str(p), "--out-hierarchy", str(h)]) == 0
     floor = _peak_mib(checkout_env, "--help")
     peak = _eval_peak_mib(tmp_path, checkout_env, h, p, "crm")
-    assert peak - floor < 4.0, (peak, floor)
+    assert peak - floor < 3.0, (peak, floor)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="ru_maxrss is in KiB on Linux")
 def test_deep_eval_peak_memory_stays_under_ceiling(tmp_path, checkout_env):
     # test_taxonomy's caterpillar tree at K=3001, height 3000. eval
-    # --basis likelihood peaks at about 66 MB with its uint16 K x K table
-    # (18 MB, two while it is built). Two uncommitted prototypes of the
-    # same report, each measured once on a 2-vCPU Linux VM, peaked at
-    # about 200 MB gathering from a (K, depth + 1) array of root paths and
-    # at 41 MB from the K - 1 adjacent-leaf LCA heights in depth-first
-    # order. The ceiling lets the table and a depth-free encoding
-    # through, not root paths.
+    # --basis likelihood reads each truth's row of LCA heights from the
+    # K - 1 adjacent-leaf heights in depth-first order and peaks at
+    # about 34 MiB, measured on a 2-vCPU Linux VM. Its uint16 K x K table
+    # (18 MB) took the peak to 51 MiB, and an uncommitted prototype that
+    # gathered from a (K, depth + 1) array of root paths to about 200 MB.
+    # The ceiling is below what the table would add.
     tax = caterpillar(3000)
     assert (tax.K, tax.heights()[tax.root]) == (3001, 3000)
     h, p = tmp_path / "h.tsv", tmp_path / "p.csv"
@@ -448,7 +503,27 @@ def test_deep_eval_peak_memory_stays_under_ceiling(tmp_path, checkout_env):
     save_predictions(PredictionSet(rng.dirichlet(np.ones(tax.K), size=200),
                                    rng.integers(0, tax.K, 200),
                                    tax.class_names), str(p))
-    assert _eval_peak_mib(tmp_path, checkout_env, h, p, "likelihood") < 128
+    assert _eval_peak_mib(tmp_path, checkout_env, h, p, "likelihood") < 44
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in KiB on Linux")
+def test_build_costs_peak_holds_one_block_of_rows(tmp_path, checkout_env):
+    # K=4096 random tree: build-costs builds its rows from the depth-first
+    # encoding 8 at a time and writes them a line at a time, so above
+    # the peak of ``--help`` it holds the taxonomy and one block: about
+    # 4.2 MiB, measured on a 2-vCPU Linux VM. The 16 MiB uint8 table it
+    # held before took that to 20 MiB; the ceiling is below it.
+    h, p = tmp_path / "h.tsv", tmp_path / "p.csv"
+    assert main(["simulate", "--seed", "1", "--classes", "4096",
+                 "--samples", "1", "--tree-mode", "random-attachment",
+                 "--out-predictions", str(p), "--out-hierarchy", str(h)]) == 0
+    out = tmp_path / "c.csv"
+    floor = _peak_mib(checkout_env, "--help")
+    peak = _peak_mib(checkout_env, "build-costs", "--hierarchy", h,
+                     "--out", out)
+    assert out.stat().st_size > 4096 ** 2, out.stat().st_size
+    assert peak - floor < 8.0, (peak, floor)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),

@@ -121,8 +121,7 @@ def test_scaled_compact_table_matches_int64_scaling(factor):
         assert np.array_equal(ranked.permutation, ref.permutation)
         if M is not C:
             assert np.array_equal(ranked.scores, ref.scores)
-    ranked, risks = batch_apply(preds, C, "crm"), _exact_risks(preds.probs,
-                                                               C.entries)
+    ranked, risks = batch_apply(preds, C, "crm"), _exact_risks(preds.probs, C)
     exact = assert_score_contract(ranked, risks, ranked.permutation,
                                   _radius(preds.probs, C.bound)[:, None])
     assert not exact.all()  # estimates, not the kernel's bits
@@ -451,7 +450,7 @@ def test_tree_risks_lie_within_the_radius_of_the_kernel(seed, K, tree_mode,
                           C.class_names)
     est = np.empty(preds.probs.shape)
     _tree_risks(preds.probs, tax, est)
-    err = np.abs(est - _exact_risks(preds.probs, C.entries))
+    err = np.abs(est - _exact_risks(preds.probs, C))
     assert (err <= _radius(preds.probs, C.bound)[:, None]).all()
 
 
@@ -551,7 +550,7 @@ def test_depth_m_ranking_is_the_prefix_of_the_full_one(seed, K, tree_mode,
                      planted_rows(rng, K, 6)])
     preds = PredictionSet(raw, np.zeros(len(raw), dtype=np.int64),
                           C.class_names)
-    exact = _exact_risks(preds.probs, C.entries)
+    exact = _exact_risks(preds.probs, C)
     delta = _radius(preds.probs, C.bound)[:, None]
     for basis in ("crm", "likelihood"):
         full = batch_apply(preds, C, basis)

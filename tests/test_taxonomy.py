@@ -132,10 +132,19 @@ def test_lca_matrix_is_an_ultrametric(seed, K):
     assert np.all(m[:, None, :] <= pair_max)
 
 
+def root_path(tax, node):
+    """Node indices from the root down to ``node`` inclusive, by a walk
+    up the parent list."""
+    path = [node]
+    while tax.parent[path[-1]] >= 0:
+        path.append(tax.parent[path[-1]])
+    return path[::-1]
+
+
 def reference_lca(tax):
     """The table the old way, in int64: one K x K compare-and-copy per
     depth column of the leaves' root paths, deeper ancestors last."""
-    paths = [tax.root_path(leaf) for leaf in tax.leaves]
+    paths = [root_path(tax, leaf) for leaf in tax.leaves]
     anc = np.full((tax.K, max(map(len, paths))), -1, dtype=np.int64)
     for i, path in enumerate(paths):
         anc[i, :len(path)] = path
@@ -151,7 +160,7 @@ def reference_heights(tax):
     """Each node's height as its longest climb from a descendant leaf."""
     h = [0] * tax.n_nodes
     for leaf in tax.leaves:
-        for up, node in enumerate(reversed(tax.root_path(leaf))):
+        for up, node in enumerate(reversed(root_path(tax, leaf))):
             h[node] = max(h[node], up)
     return h
 
@@ -188,12 +197,25 @@ def test_lca_table_equals_the_int64_reference(name):
     assert m.dtype == (np.uint16 if name == "caterpillar" else np.uint8)
     assert m.flags.c_contiguous and not m.flags.writeable
     assert m is tax.lca_matrix()
-    assert np.array_equal(m, reference_lca(tax))
+    ref = reference_lca(tax)
+    assert np.array_equal(m, ref)
     rng = np.random.default_rng(len(name))
     for i, j in rng.integers(0, tax.K, size=(40, 2)).tolist():
         assert oracle_lca(tax, i, j) == m[i, j]
+    # lca_rows, which every consumer reads, on unsorted, repeated and
+    # single classes, in the table's dtype.
+    for idx in (rng.permutation(tax.K), rng.integers(0, tax.K, 2 * tax.K),
+                np.array([tax.K - 1, 0, tax.K - 1, 0]), np.array([0]),
+                np.array([tax.K - 1]), np.array([tax.K // 2])):
+        rows = tax.lca_rows(idx)
+        assert rows.dtype == m.dtype and rows.shape == (len(idx), tax.K)
+        assert np.array_equal(rows, ref[idx])
+        cols = rng.integers(0, tax.K, (len(idx), 5))
+        at = tax.lca_rows(idx, cols)
+        assert at.dtype == m.dtype
+        assert np.array_equal(at, ref[idx[:, None], cols])
     # The walk's per-node tables and the facts derived from them.
-    assert all(d == len(tax.root_path(v)) - 1
+    assert all(d == len(root_path(tax, v)) - 1
                for v, d in enumerate(tax.depths()))
     assert tax.heights() == reference_heights(tax)
     assert tax.class_names == [tax.names[leaf] for leaf in tax.leaves]
@@ -223,10 +245,10 @@ def test_metric_reduction_reads_the_compact_table_exactly(name):
 
 @pytest.mark.parametrize("tree", ["random-attachment", "caterpillar"])
 def test_lca_table_build_holds_one_table(tree):
-    # The block fill, then rows permuted in place through one row buffer
-    # and columns gathered 256 KiB of rows at a time: one K x K table at
-    # the peak, no int64 or float64 one. Gathering rows, then columns,
-    # into fresh tables held two.
+    # The table is filled from lca_rows about 32 Ki entries at a time:
+    # one K x K table at the peak beside one block of rows and its
+    # working arrays, no int64 or float64 table. Gathering rows, then
+    # columns, into fresh tables held two.
     tax = random_tree(1, 1024) if tree == "random-attachment" else \
         caterpillar(1023)
     tracemalloc.start()
