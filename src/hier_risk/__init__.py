@@ -7,9 +7,9 @@ probability. Severity metrics, reliability binning, and the file formats
 live in their own modules and are re-exported here.
 """
 
-from .calibration import (CalibrationBins, CalibrationReport,
-                          apply_temperature, bin_confidences, ece,
-                          fit_temperature, hierarchical_ece, mce)
+from .calibration import (CalibrationReport, apply_temperature,
+                          bin_confidences, ece, fit_temperature,
+                          hierarchical_ece, mce)
 from .dataio import (FormatError, load_calibration_report, load_hierarchy,
                      load_metrics_report, load_predictions, save_cost_matrix,
                      save_hierarchy, save_predictions)
@@ -27,7 +27,6 @@ from .taxonomy import (Taxonomy, TaxonomyError, collapse_to_depth,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CalibrationBins",
     "CalibrationReport",
     "CostMatrix",
     "FormatError",

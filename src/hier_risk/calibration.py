@@ -26,13 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .predictions import PredictionSet, _rows_per_block
+from .predictions import PredictionSet, _passed, _rows_per_block
 from .riskmin import LIKELIHOOD, RISK, Ranking, batch_apply
 from .taxonomy import Taxonomy, _as_int, collapse_to_depth
 
 __all__ = [
     "BinTally",
-    "CalibrationBins",
     "CalibrationReport",
     "bin_confidences",
     "ece",
@@ -56,22 +55,6 @@ CONFIDENCE_SOURCES = {
 
 
 @dataclass
-class CalibrationBins:
-    """Per-bin tallies for a reliability diagram.
-
-    ``edges`` has B + 1 entries from 0 to 1. ``mean_conf`` and
-    ``accuracy`` are 0.0 for empty bins.
-    """
-
-    B: int
-    edges: np.ndarray
-    counts: np.ndarray
-    mean_conf: np.ndarray
-    accuracy: np.ndarray
-    n: int
-
-
-@dataclass
 class CalibrationReport:
     """ECE/MCE before and after temperature scaling on a test split."""
 
@@ -84,12 +67,15 @@ class CalibrationReport:
 
 
 class BinTally:
-    """Running per-bin totals of the confidences of blocks of rows.
+    """Running per-bin totals of the confidences of blocks of rows: the
+    reliability diagram of every row added so far.
 
     Blocks are added in order, and each confidence is added onto its
     bin's running sum in that order, so the bins hold the same bits
     whatever the block split. Each row is binned at the class its
-    ranking puts first, whatever the ranking's basis.
+    ranking puts first, whatever the ranking's basis. ``edges`` has
+    B + 1 entries from 0 to 1; ``mean_conf`` and ``accuracy`` are read
+    from the running totals on each access, 0.0 for empty bins.
     """
 
     def __init__(self, B: int):
@@ -113,20 +99,27 @@ class BinTally:
         np.add.at(self.csum, idx, conf)
         self.n += preds.N
 
-    def bins(self) -> CalibrationBins:
-        counts, B = self.counts, self.B
-        mean_conf = np.zeros(B)
-        accuracy = np.zeros(B)
-        nz = counts > 0
-        mean_conf[nz] = self.csum[nz] / counts[nz]
-        accuracy[nz] = self.hits[nz] / counts[nz]
-        return CalibrationBins(B=B, edges=np.linspace(0.0, 1.0, B + 1),
-                               counts=counts.copy(), mean_conf=mean_conf,
-                               accuracy=accuracy, n=self.n)
+    @property
+    def edges(self) -> np.ndarray:
+        return np.linspace(0.0, 1.0, self.B + 1)
+
+    @property
+    def mean_conf(self) -> np.ndarray:
+        return self._per_bin(self.csum)
+
+    @property
+    def accuracy(self) -> np.ndarray:
+        return self._per_bin(self.hits)
+
+    def _per_bin(self, total: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.B)
+        nz = self.counts > 0
+        out[nz] = total[nz] / self.counts[nz]
+        return out
 
 
 def bin_confidences(preds: PredictionSet, ranked: Ranking,
-                    B: int) -> CalibrationBins:
+                    B: int) -> BinTally:
     """Histogram per-sample confidences into B equal-width bins.
 
     A sample's confidence is the probability its row assigns to the
@@ -135,10 +128,10 @@ def bin_confidences(preds: PredictionSet, ranked: Ranking,
     """
     tally = BinTally(B)
     tally.add(preds, ranked)
-    return tally.bins()
+    return tally
 
 
-def ece(bins: CalibrationBins) -> float:
+def ece(bins: BinTally) -> float:
     """Count-weighted mean absolute gap between accuracy and confidence."""
     if bins.n == 0:
         return 0.0
@@ -146,7 +139,7 @@ def ece(bins: CalibrationBins) -> float:
     return float(np.sum((bins.counts / bins.n) * gaps))
 
 
-def mce(bins: CalibrationBins) -> float:
+def mce(bins: BinTally) -> float:
     """Largest absolute gap over non-empty bins (0 when all are empty)."""
     nz = bins.counts > 0
     if not nz.any():
@@ -305,15 +298,15 @@ def hierarchical_ece(preds: PredictionSet, tax: Taxonomy, depth: int,
         raise ValueError("class order mismatch between predictions and "
                          "taxonomy")
     mapping = collapse_to_depth(tax, depth)
-    targets = sorted(set(mapping.values()))
+    # Groups in ascending ancestor index; col[k] is class k's group.
+    targets, col = np.unique([mapping[k] for k in range(tax.K)],
+                             return_inverse=True)
     names = [tax.names[t] for t in targets]
-    group_of = {t: g for g, t in enumerate(targets)}
-    col = np.array([group_of[mapping[i]] for i in range(tax.K)],
-                   dtype=np.int64)
-    M = len(targets)
-    summed = np.empty((preds.N, M), dtype=np.float64)
-    for g in range(M):
+    summed = np.empty((preds.N, len(targets)), dtype=np.float64)
+    for g in range(len(targets)):
         summed[:, g] = preds.probs[:, col == g].sum(axis=1)
-    collapsed = PredictionSet(summed, col[preds.truth], names)
+    # The group sums are binned as summed: the row rule would divide
+    # a row whose sum is not exactly 1.0 a second time.
+    collapsed = _passed(summed, col[preds.truth], names)
     ranked = batch_apply(collapsed, None, LIKELIHOOD, depth=1)
     return ece(bin_confidences(collapsed, ranked, B))

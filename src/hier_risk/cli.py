@@ -23,7 +23,9 @@ synth.prediction_blocks as they are drawn, holding one block plus the
 labels drawn ahead, and opens no output file before that draw.
 Each checks its flags, the hierarchy, the headers and the tables it needs
 (calibrate: the validation split and its fit) before it reads a row of
-the file it streams, then reports the first fault there in file order.
+the file it streams, then reports the first fault there in file order;
+a prediction file with a header and no rows exits 2 in eval, calibrate
+and shuffle-eval rather than scoring no data.
 Without --k, eval and shuffle-eval report the depths of 1,5,20 that are
 at most the class count. eval --basis crm exits 1 if a class holding
 more than half a row's mass is not its top-1 (Theorem 1).
@@ -97,6 +99,8 @@ def _cmd_eval(args) -> str:
                 raise RuntimeError("Theorem 1 violated: a class with more "
                                    "than half the mass is not the CRM top-1")
         del block, ranked  # before the next block is parsed
+    if ev.n == 0:
+        raise ValueError("prediction file has no rows")
     return metrics_report_to_json(ev.report())
 
 
@@ -128,10 +132,9 @@ def _cmd_calibrate(args) -> str:
         del block  # before the next block is parsed
     if pre.n == 0:
         raise ValueError("test prediction file has no rows")
-    bins_pre, bins_post = pre.bins(), post.bins()
     report = CalibrationReport(
-        ece_pre=ece(bins_pre), ece_post=ece(bins_post),
-        mce_pre=mce(bins_pre), mce_post=mce(bins_post),
+        ece_pre=ece(pre), ece_post=ece(post),
+        mce_pre=mce(pre), mce_post=mce(post),
         temperature=temperature, confidence_source=args.source,
     )
     return calibration_report_to_json(report)
@@ -154,6 +157,8 @@ def _cmd_shuffle_eval(args) -> str:
             ev.count(batch_apply(block, costs[name], "crm", depth=m),
                      block.truth)
         del block, ranked  # before the next block is parsed
+    if evals["crm"]["original"].n == 0:
+        raise ValueError("prediction file has no rows")
     return metrics_report_to_json({
         basis: {name: ev.report() for name, ev in by_tree.items()}
         for basis, by_tree in evals.items()

@@ -179,23 +179,25 @@ def _exact_risks(P: np.ndarray, C: CostMatrix) -> np.ndarray:
 _U = 2.0 ** -53  # unit roundoff of float64
 
 
-def _tree_risks(P: np.ndarray, tax: Taxonomy, R: np.ndarray) -> None:
+def _tree_risks(P: np.ndarray, C: CostMatrix, R: np.ndarray) -> None:
     """Write estimates of the risks of the block of rows P, summed over
-    the tree ``tax``, into that block's rows R of the scores.
+    the tree of the taxonomy costs C, into that block's rows R of the
+    scores.
 
-    With H the height of the LCA of all classes, the risk of class k is
-    H * S - sum of w_v * M(v) over the nodes v on k's path below that
-    LCA, leaf included, where S is the row's mass, M(v) the mass under
-    v and w_v the height step h(parent) - h(v). Leaves are taken in
-    depth-first order, so an inner node's M(v) is a difference of two
-    prefix sums, and the sum over the inner nodes on the path of the
-    leaf at position t is a prefix sum over range additions: +w_v * M(v)
-    at v's first leaf, -w_v * M(v) just past its last. The leaf's own
-    term is its weight times its probability. The work is O(nodes) per
-    row in a fixed number of numpy calls, whatever the tree height, on
-    (positions x rows) arrays whose gathers copy whole rows.
+    With H the height of the LCA of all classes (``C.bound``), the risk
+    of class k is H * S - sum of w_v * M(v) over the nodes v on k's path
+    below that LCA, leaf included, where S is the row's mass, M(v) the
+    mass under v and w_v the height step h(parent) - h(v). Leaves are
+    taken in depth-first order, so an inner node's M(v) is a difference
+    of two prefix sums, and the sum over the inner nodes on the path of
+    the leaf at position t is a prefix sum over range additions:
+    +w_v * M(v) at v's first leaf, -w_v * M(v) just past its last. The
+    leaf's own term is its weight times its probability. The work is
+    O(nodes) per row in a fixed number of numpy calls, whatever the tree
+    height, on (positions x rows) arrays whose gathers copy whole rows.
     """
-    (H, leaf_w, lo, hi, w, lo_at, lo_starts, by_hi, hi_at,
+    tax = C._tree
+    (leaf_w, lo, hi, w, lo_at, lo_starts, by_hi, hi_at,
      hi_starts) = tax._sum_shape()
     cs = np.zeros((tax.K + 1, P.shape[0]))
     cs[tax._pos + 1] = P.T
@@ -207,7 +209,7 @@ def _tree_risks(P: np.ndarray, tax: Taxonomy, R: np.ndarray) -> None:
     a[lo_at] = np.add.reduceat(x, lo_starts, axis=0)
     a[hi_at] -= np.add.reduceat(x[by_hi], hi_starts, axis=0)
     np.cumsum(a, axis=0, out=a)
-    np.subtract(H * cs[-1][:, None], a[tax._pos].T, out=R)
+    np.subtract(C.bound * cs[-1][:, None], a[tax._pos].T, out=R)
     R -= P * leaf_w[tax._pos]
 
 
@@ -333,7 +335,7 @@ def batch_apply(preds: PredictionSet, C: CostMatrix | None,
             R[:] = _exact_risks(block, C)
             order[lo:lo + step] = np.argsort(R, axis=1, kind="stable")[:, :m]
         else:
-            _tree_risks(block, C._tree, R)
+            _tree_risks(block, C, R)
             order[lo:lo + step] = _certify(block, C, R, m)
     return Ranking(order, scores, basis)
 

@@ -216,10 +216,10 @@ class Taxonomy:
         built on first use from the per-node tables alone, so a tree of
         the same shape can share them.
 
-        Returns ``(H, leaf_w, lo, hi, w, lo_at, lo_starts, by_hi, hi_at,
-        hi_starts)``. H is the height of the LCA of all classes and
-        ``leaf_w`` the height of each leaf position's parent. The inner
-        nodes below that LCA are ordered by their first leaf position
+        Returns ``(leaf_w, lo, hi, w, lo_at, lo_starts, by_hi, hi_at,
+        hi_starts)``. ``leaf_w`` is the height of each leaf position's
+        parent. The inner nodes below the LCA of all classes (of height
+        ``CostMatrix.bound``) are ordered by their first leaf position
         ``lo``; ``hi`` is one past their last, and ``w`` is the (V, 1)
         float64 column of their height steps h(parent) - h(node) > 0.
         Runs of equal lo start at ``lo_starts`` and hold the nodes that
@@ -237,7 +237,7 @@ class Taxonomy:
             leaf_w[lo[leaves]] = h[up[leaves]]
             by_hi = np.argsort(hi[inner], kind="stable")
             self._shape = (
-                float(h[top].min()), leaf_w, lo[inner], hi[inner],
+                leaf_w, lo[inner], hi[inner],
                 (h[up[inner]] - h[inner]).astype(np.float64)[:, None],
                 *np.unique(lo[inner], return_index=True), by_hi,
                 *np.unique(hi[inner][by_hi], return_index=True))

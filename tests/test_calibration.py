@@ -7,7 +7,8 @@ import pytest
 from hier_risk import calibration
 from hier_risk import (PredictionSet, Ranking, SynthConfig, apply_temperature,
                        batch_apply, bin_confidences, build_cost_matrix,
-                       ece, fit_temperature, gen_predictions, gen_taxonomy,
+                       collapse_to_depth, ece, fit_temperature,
+                       gen_predictions, gen_taxonomy,
                        hierarchical_ece, likelihood_rank, mce,
                        parse_taxonomy)
 from hier_risk.calibration import CONFIDENCE_SOURCES
@@ -321,3 +322,50 @@ def test_crm_selected_confidence_uses_risk_ranking():
     tot = (bins.mean_conf * bins.counts).sum()
     lik_tot = (lik_bins.mean_conf * lik_bins.counts).sum()
     assert tot <= lik_tot + 1e-12
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_hierarchical_ece_bins_the_group_sums_as_summed(depth):
+    # The collapsed rows are the group sums of rows that passed the row
+    # rule already, so they reach the bins bit for bit: dividing a sum
+    # that is not exactly 1.0 again would move its last bits.
+    cfg = SynthConfig(seed=21, K=256, N=2000, tree_mode="random-attachment")
+    tax = gen_taxonomy(cfg)
+    preds = gen_predictions(cfg, tax)
+    mapping = collapse_to_depth(tax, depth)
+    sums = np.stack([preds.probs[:, [k for k in range(tax.K)
+                                     if mapping[k] == g]].sum(axis=1)
+                     for g in sorted(set(mapping.values()))], axis=1)
+    assert (sums.sum(axis=1) != 1.0).any()  # rows the rule would divide
+    seen, add = [], calibration.BinTally.add
+
+    def spy(self, block, ranked):
+        seen.append(block.probs.copy())
+        add(self, block, ranked)
+
+    with mock.patch.object(calibration.BinTally, "add", spy):
+        hierarchical_ece(preds, tax, depth)
+    (rows,) = seen
+    assert rows.shape == sums.shape and rows.tobytes() == sums.tobytes()
+
+
+def test_a_running_tally_keeps_the_bits_of_one_call():
+    # Blocks added in order bin to the bits of one bin_confidences call
+    # over the same rows, and the derived arrays are read from the
+    # running totals, so after each add they are those of every row so
+    # far.
+    cfg = SynthConfig(seed=5, K=12, N=1000)
+    preds = gen_predictions(cfg, gen_taxonomy(cfg))
+    ranked = batch_apply(preds, None, "likelihood")
+    tally = calibration.BinTally(15)
+    cuts = [0, 1, 7, 300, 301, 999, 1000]
+    for lo, hi in zip(cuts, cuts[1:]):
+        tally.add(_passed(preds.probs[lo:hi], preds.truth[lo:hi],
+                          preds.class_names), ranked[lo:hi])
+        whole = bin_confidences(_passed(preds.probs[:hi], preds.truth[:hi],
+                                        preds.class_names), ranked[:hi], 15)
+        for name in ("counts", "mean_conf", "accuracy", "edges"):
+            assert getattr(tally, name).tobytes() == \
+                getattr(whole, name).tobytes(), (hi, name)
+        assert (ece(tally), mce(tally)) == (ece(whole), mce(whole))
+    assert tally.n == preds.N

@@ -170,6 +170,31 @@ def test_calibrate_rejects_empty_test_split(corpus, tmp_path, capsys):
             "", "error: test prediction file has no rows\n")
 
 
+def test_eval_and_shuffle_eval_reject_a_file_with_no_rows(corpus, tmp_path,
+                                                          capsys):
+    # A header and no rows is refused, not scored as a perfect
+    # top1_error of 0 on no data; a bad flag or header is named first.
+    names = load_predictions(corpus["preds"]).class_names
+    empty, renamed = tmp_path / "empty.csv", tmp_path / "renamed.csv"
+    empty.write_text(PREDICTIONS_MAGIC + "\ntruth," + ",".join(names) + "\n")
+    renamed.write_text(PREDICTIONS_MAGIC + "\ntruth,"
+                       + ",".join(names[:-1] + ["zz"]) + "\n")
+    out = tmp_path / "report.json"
+    for args in (["eval", "--basis", "crm"], ["eval", "--basis", "likelihood"],
+                 ["shuffle-eval", "--seed", "0"]):
+        argv = [*args, "--hierarchy", corpus["hier"]]
+        assert main([*argv, "--predictions", str(empty),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: prediction file has no rows\n")
+        assert not out.exists()
+        assert main([*argv, "--predictions", str(empty), "--k", "1,99"]) == 2
+        assert "k_list entries must lie in" in capsys.readouterr().err
+        assert main([*argv, "--predictions", str(renamed)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: line 2: class names do not match the taxonomy")
+
+
 def test_calibrate_leaves_no_temporary_file(corpus, tmp_path, capsys,
                                            monkeypatch):
     # The validation split's floored logs go to one anonymous temporary

@@ -449,7 +449,7 @@ def test_tree_risks_lie_within_the_radius_of_the_kernel(seed, K, tree_mode,
     preds = PredictionSet(raw, np.zeros(len(raw), dtype=np.int64),
                           C.class_names)
     est = np.empty(preds.probs.shape)
-    _tree_risks(preds.probs, tax, est)
+    _tree_risks(preds.probs, C, est)
     err = np.abs(est - _exact_risks(preds.probs, C))
     assert (err <= _radius(preds.probs, C.bound)[:, None]).all()
 

@@ -98,8 +98,8 @@ def test_reports_do_not_depend_on_the_block_size(corpus, rows, seed):
                                  basis, "--k", ks, *hier])
         for argv in commands:
             whole = run(argv)
-            assert whole[0] == (2 if len(truth) == 0 and
-                                argv[0] == "calibrate" else 0), whole
+            # A file with no rows exits 2 in every command.
+            assert whole[0] == (2 if len(truth) == 0 else 0), whole
             assert run(argv, rows, K) == whole, argv
 
 
